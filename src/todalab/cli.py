@@ -79,12 +79,7 @@ class RunConfig:
             if not os.path.exists(path):
                 raise ConfigError(f"metric file not found: {path}")
         elif self.metric_kind.startswith("cosine:"):
-            try:
-                float(self.metric_kind.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(
-                    f"cosine metric amplitude must be a number, "
-                    f"got {self.metric_kind!r}") from None
+            _finite(self.metric_kind[len("cosine:"):], "cosine metric amplitude")
         elif self.metric_kind != "flat":
             raise ConfigError(
                 f"metric.kind must be flat, file=<path>, or cosine:<amp>; "
@@ -97,12 +92,20 @@ class RunConfig:
             max_iter=self._int("solver.max_iter"),
             grad_tol=self._float("solver.grad_tol"),
             ceiling=self._float("solver.ceiling"))
+        if self.solver.max_iter < 1:
+            raise ConfigError(f"solver.max_iter must be at least 1, got "
+                              f"{self.solver.max_iter}")
+        if self.solver.grad_tol <= 0.0:
+            raise ConfigError(f"solver.grad_tol must be positive, got "
+                              f"{self.solver.grad_tol}")
         self.testfn_eps = self._float_list("testfn.eps_list")
         if any(b >= a for a, b in zip(self.testfn_eps, self.testfn_eps[1:])):
             raise ConfigError("testfn.eps_list must be strictly decreasing")
         self.L_mode = merged["testfn.L_coupling"]
         if self.L_mode != "auto" and not self.L_mode.startswith("fixed:"):
             raise ConfigError("testfn.L_coupling must be auto or fixed:<L>")
+        self.L_fixed = (None if self.L_mode == "auto" else
+                        _finite(self.L_mode[len("fixed:"):], "testfn.L_coupling"))
         self.sweep_eps = self._float_list("sweep.eps_list")
         self.out_dir = merged["output.dir"]
         self.fmt = merged["output.format"]
@@ -116,17 +119,11 @@ class RunConfig:
             raise ConfigError(f"{key} must be an integer: {exc}") from None
 
     def _float(self, key: str) -> float:
-        try:
-            return float(self.entries[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number: {exc}") from None
+        return _finite(self.entries[key], key)
 
     def _float_list(self, key: str) -> list[float]:
-        try:
-            return [float(t) for t in self.entries[key].split(",") if t.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be comma-separated numbers: {exc}") \
-                from None
+        return [_finite(t, key) for t in self.entries[key].split(",")
+                if t.strip()]
 
     def _points(self, key: str) -> list[np.ndarray]:
         out = []
@@ -137,7 +134,7 @@ class RunConfig:
             coords = part.split(",")
             if len(coords) != 2:
                 raise ConfigError(f"point {part!r} is not x,y")
-            p = np.array([float(c) for c in coords])
+            p = np.array([_finite(c, f"point {part!r}") for c in coords])
             if np.any(p < 0.0) or np.any(p >= 1.0):
                 raise ConfigError(f"point {part!r} outside [0,1)^2")
             out.append(p)
@@ -159,6 +156,17 @@ class RunConfig:
         phi = ScalarField(grid, amp * np.cos(2 * np.pi * X)
                           * np.cos(2 * np.pi * Y))
         return make_conformal_metric(phi)
+
+
+def _finite(text: str, what: str) -> float:
+    """A finite float, or a ConfigError naming `what`."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{what}: {text.strip()!r} is not a finite number")
+    return value
 
 
 def parse_config(path) -> RunConfig:
@@ -363,7 +371,7 @@ def cmd_testfn(cfg: RunConfig) -> int:
         if rep.constant_alternate is not None:
             payload["constant_alternate"] = rep.constant_alternate
     else:
-        L = float(cfg.L_mode.split(":", 1)[1])
+        L = cfg.L_fixed
         build = testfn.build_test_case1 if pair.case_tag == "one" \
             else testfn.build_test_case2
         rows = []

@@ -96,12 +96,25 @@ def split_width(grid: TorusGrid) -> float:
     return 2.8 / grid.n
 
 
+# Image terms with r^2 / 2 eta^2 at or above this are skipped: E1 there is
+# below 1e-19 and exp(-z) / r^2 below 1e-17 / r^2.
+_Z_SKIP = 40.0
+
+
+def _screened(z: np.ndarray, fn) -> np.ndarray:
+    """fn(z) where z < _Z_SKIP, zero elsewhere."""
+    out = np.zeros_like(z)
+    near = z < _Z_SKIP
+    out[near] = fn(z[near])
+    return out
+
+
 def _image_sum(points: np.ndarray, p, eta: float) -> np.ndarray:
     """sum over 3x3 images of (1/4 pi) E1(r^2 / 2 eta^2); +inf at the source."""
     d = spectral.wrap_offset(np.atleast_2d(points) - np.asarray(p))
     r2 = ((d[:, None, :] + _IMAGE_OFFSETS[None, :, :]) ** 2).sum(axis=2)
     with np.errstate(divide="ignore"):
-        vals = exp1(r2 / (2.0 * eta * eta))
+        vals = _screened(r2 / (2.0 * eta * eta), exp1)
     return vals.sum(axis=1) / (4.0 * math.pi)
 
 
@@ -113,7 +126,7 @@ def _image_sum_regular(points: np.ndarray, p, eta: float) -> np.ndarray:
     out = (_e1_plus_log(z_near) + math.log(2.0 * eta * eta)) / (4.0 * math.pi)
     offs = np.array([o for o in _IMAGE_OFFSETS if o[0] != 0.0 or o[1] != 0.0])
     far = ((d[:, None, :] + offs[None, :, :]) ** 2).sum(axis=2)
-    out += exp1(far / (2.0 * eta * eta)).sum(axis=1) / (4.0 * math.pi)
+    out += _screened(far / (2.0 * eta * eta), exp1).sum(axis=1) / (4.0 * math.pi)
     return out
 
 
@@ -124,7 +137,7 @@ def _image_gradient(points: np.ndarray, p, eta: float) -> np.ndarray:
     r2 = (dall ** 2).sum(axis=2)
     z = r2 / (2.0 * eta * eta)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = -np.exp(-z) / (2.0 * math.pi * r2)
+        w = -_screened(z, lambda zn: np.exp(-zn)) / (2.0 * math.pi * r2)
     return (w[:, :, None] * dall).sum(axis=1)
 
 
@@ -164,6 +177,7 @@ class SingularField:
         self.strengths = [float(s) for s in strengths]
         self.band = ScalarField.from_modes(grid, band_modes)
         self.const = float(const)
+        self._grid_values = None
 
     @property
     def log_coefficients(self) -> list[float]:
@@ -196,28 +210,39 @@ class SingularField:
             out = out + s * _image_gradient(pts, p, self.eta)
         return out
 
-    def image_values(self, pts: np.ndarray) -> np.ndarray:
-        """Only the singular (image-sum) part: sum_i s_i V(x - p_i)."""
-        pts = np.atleast_2d(pts)
-        out = np.zeros(pts.shape[0])
-        for p, s in zip(self.points, self.strengths):
-            out = out + s * _image_sum(pts, p, self.eta)
-        return out
+    def image_values(self, pts: np.ndarray, strengths=None) -> np.ndarray:
+        """Only the singular (image-sum) part: sum_i s_i V(x - p_i), (m,).
 
-    def image_gradients(self, pts: np.ndarray) -> np.ndarray:
-        """Gradient of the image-sum part only; shape (m, 2)."""
+        strengths, an (F, number of points) array, evaluates F fields with
+        these poles in one pass and returns (F, m): each V(x - p_i) is
+        computed once and combined with every row.
+        """
+        return self._combine(_image_sum, pts, strengths)
+
+    def image_gradients(self, pts: np.ndarray, strengths=None) -> np.ndarray:
+        """Gradient of the image-sum part only; shape (m, 2), or (F, m, 2)
+        with strengths as in image_values."""
+        return self._combine(_image_gradient, pts, strengths)
+
+    def _combine(self, kernel, pts: np.ndarray, strengths):
         pts = np.atleast_2d(pts)
-        out = np.zeros((pts.shape[0], 2))
-        for p, s in zip(self.points, self.strengths):
-            out = out + s * _image_gradient(pts, p, self.eta)
-        return out
+        rows = np.atleast_2d(self.strengths if strengths is None else strengths)
+        out = 0.0
+        for j, p in enumerate(self.points):
+            term = kernel(pts, p, self.eta)
+            out = out + rows[:, j].reshape((-1,) + (1,) * term.ndim) * term
+        return out[0] if strengths is None else out
 
     def grid_values(self) -> np.ndarray:
-        """Raw grid values (+inf at grid-aligned singular points)."""
-        X, Y = self.grid.mesh()
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        out = self.band.values.ravel() + self.const + self.image_values(pts)
-        return out.reshape(self.grid.n, self.grid.n)
+        """Raw grid values (+inf at grid-aligned singular points); computed
+        once per field and returned read-only."""
+        if self._grid_values is None:
+            X, Y = self.grid.mesh()
+            pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+            out = self.band.values.ravel() + self.const + self.image_values(pts)
+            self._grid_values = out.reshape(self.grid.n, self.grid.n)
+            self._grid_values.flags.writeable = False
+        return self._grid_values
 
     def grid_regular_values(self) -> np.ndarray:
         """Grid values of the field minus every nearest-image log term."""
@@ -282,7 +307,6 @@ class FlatGreen:
         self.eta = split_width(grid)
         self._field = SingularField(grid, [self.source], [1.0],
                                     _screened_remainder_modes(grid, self.source, self.eta))
-        self.smooth_part = ScalarField(grid, self._field.grid_regular_values())
         self.robin = float(self._field.eval_regular(self.source[None, :], 0)[0])
 
     def eval(self, pts: np.ndarray) -> np.ndarray:

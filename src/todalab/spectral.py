@@ -18,6 +18,7 @@ choice for real transforms); the Laplacian keeps the full multiplier
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,58 +214,146 @@ def product_dealiased(f: ScalarField, g: ScalarField) -> ScalarField:
     return ScalarField.from_modes(grid, _truncate_modes(prod, m, n))
 
 
-def eval_modes_at(grid: TorusGrid, modes: np.ndarray, points: np.ndarray,
-                  chunk: int = 2048) -> np.ndarray:
-    """Evaluate sum_k modes_k exp(2 pi i k.x) at arbitrary points.
+# Off-grid evaluation is a type-2 non-uniform FFT (Dutt-Rokhlin 1993;
+# Greengard-Lee, SIAM Rev. 2004) with the "exponential of semicircle"
+# kernel of Barnett, Magland and af Klinteberg (SISC 2019).  The band modes
+# are divided by the kernel's Fourier transform, zero-padded to a 2n grid
+# and transformed back once; each point is then a separable W x W kernel
+# contraction of that oversampled grid.  W = 16 with beta = 2.30 W puts
+# the aliasing error below round-off: on Green's-function bands the values
+# are within 1e-15 of max|f| of a long-double direct sum (the double
+# direct sum is as far off), and within 2e-14 with white-noise modes up
+# to Nyquist.
+_ES_WIDTH = 16
+_ES_BETA = 2.30 * _ES_WIDTH
+_EVAL_CHUNK = 1024                 # points per gathered block batch
+_PREPARED: dict = {}               # id(modes) -> (weakref, oversampled grid)
 
-    points: array of shape (m, 2).  Returns complex values of shape (m,).
-    Exact for band-limited data; cost O(m * n^2) organized as matrix
-    products over point chunks to stay BLAS-bound.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-    out = np.empty(points.shape[0], dtype=complex)
-    for lo in range(0, points.shape[0], chunk):
-        hi = min(lo + chunk, points.shape[0])
-        ex = np.exp(2j * np.pi * np.outer(points[lo:hi, 0], k))
-        ey = np.exp(2j * np.pi * np.outer(points[lo:hi, 1], k))
-        # f(p) = ex[p, :] @ modes @ ey[p, :]
-        t = modes @ ey.T                      # (n, chunk)
-        out[lo:hi] = np.einsum("pk,kp->p", ex, t)
+
+def _es_kernel(z: np.ndarray) -> np.ndarray:
+    """exp(beta (sqrt(1 - z^2) - 1)) on |z| <= 1 (about 1e-16 at the edge),
+    with the exponent written as -beta z^2 / (1 + sqrt(1 - z^2)) so that
+    it carries no cancellation where the kernel is large."""
+    z2 = z * z
+    return np.exp(-_ES_BETA * z2 / (1.0 + np.sqrt(np.maximum(1.0 - z2, 0.0))))
+
+
+def _es_transform(k: np.ndarray, m: int) -> np.ndarray:
+    """m times the Fourier transform at integer k of the kernel stretched
+    over W points of the m-point grid, (W/2) int_{-1}^{1} kernel(z)
+    cos(a z) dz with a = pi W k / m.
+
+    With z = sin(theta) the integral runs over half a circle; over the
+    whole circle it is 2 pi beta e^{-beta} I_1(s) / s, s^2 = beta^2 - a^2,
+    and the other half adds below 1e-18 of it.  This closed form is exact
+    to round-off, where Gauss-Legendre in z leaves a few 1e-15 in every
+    mode (the kernel's square root is singular at the ends)."""
+    # imported here: at module level it made importing todalab ~50 ms
+    # slower on a 2-core machine (0.34 s against 0.29 s, 30 runs each)
+    from scipy.special import ive
+
+    a = np.pi * _ES_WIDTH * np.asarray(k, dtype=float) / m
+    s = np.sqrt(_ES_BETA ** 2 - a * a)
+    # e^{-beta} I_1(s) = ive(1, s) e^{s - beta}, s - beta = -a^2 / (beta + s)
+    return (np.pi * _ES_WIDTH * _ES_BETA / s * ive(1, s)
+            * np.exp(-a * a / (_ES_BETA + s)))
+
+
+def _oversampled(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
+    """Deconvolved real grids of (n, n) or (F, n, n) modes, shape
+    (2n + W - 1, 2n + W - 1, F); the last W - 1 rows and columns repeat
+    the first, so no block wraps."""
+    n, m, w = grid.n, 2 * grid.n, _ES_WIDTH
+    stack = modes.reshape(-1, n, n)
+    corr = 1.0 / _es_transform(np.fft.fftfreq(n, d=1.0 / n), m)
+    decon = np.outer(corr, corr)
+    out = np.empty((m + w - 1, m + w - 1, stack.shape[0]))
+    for f, field_modes in enumerate(stack):  # one complex (2n, 2n) at a time
+        u = np.fft.ifft2(_pad_modes(field_modes * decon, n, m)).real * m ** 2
+        out[:, :, f] = np.pad(u, (0, w - 1), mode="wrap")
     return out
+
+
+def _prepared(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
+    """Oversampled grid of a mode array; a read-only array is taken to be
+    immutable, so its grid is built once and kept while the array lives."""
+    if modes.flags.writeable:
+        return _oversampled(grid, modes)
+    key = id(modes)
+    hit = _PREPARED.get(key)
+    if hit is None or hit[0]() is not modes:
+        ref = weakref.ref(modes, lambda _: _PREPARED.pop(key, None))
+        hit = _PREPARED[key] = (ref, _oversampled(grid, modes))
+    return hit[1]
+
+
+def _contract(fine: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Kernel sums of an oversampled grid at the points; (F, m) real."""
+    w = _ES_WIDTH
+    size = fine.shape[0] - w + 1
+    nf = fine.shape[2]
+    s0, s1, s2 = fine.strides
+    # blocks[i, j] is the (w, w*F) block whose corner is fine[i, j]
+    blocks = np.lib.stride_tricks.as_strided(
+        fine, shape=(size, size, w, w * nf), strides=(s0, s1, s0, s2),
+        writeable=False)
+    off = np.arange(w)
+    out = np.empty((nf, points.shape[0]))
+    for lo in range(0, points.shape[0], _EVAL_CHUNK):
+        t = points[lo:lo + _EVAL_CHUNK] * size
+        first = np.floor(t - w / 2.0).astype(np.int64) + 1
+        d = t - first                         # in (w/2 - 1, w/2]
+        kx = _es_kernel(2.0 * (d[:, :1] - off) / w)
+        ky = _es_kernel(2.0 * (d[:, 1:] - off) / w)
+        corner = first % size
+        blk = blocks[corner[:, 0], corner[:, 1]]            # (c, w, w*F)
+        rows = np.matmul(kx[:, None, :], blk).reshape(-1, w, nf)
+        out[:, lo:lo + _EVAL_CHUNK] = np.einsum("cbf,cb->fc", rows, ky)
+    return out
+
+
+def eval_modes_at(grid: TorusGrid, modes: np.ndarray,
+                  points: np.ndarray) -> np.ndarray:
+    """Re sum_k modes_k exp(2 pi i k.x) at arbitrary points, shape (m,).
+
+    points: array of shape (m, 2), any real coordinates.  See
+    eval_modes_stack_at.
+    """
+    return _evaluate(grid, modes, points)[0]
 
 
 def eval_modes_stack_at(grid: TorusGrid, stack: np.ndarray,
-                        points: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Evaluate several mode arrays at the same points in one BLAS pass.
+                        points: np.ndarray) -> np.ndarray:
+    """Real parts of several mode sums at the same points, shape (F, m).
 
-    stack: (F, n, n) complex; returns (F, m) complex.  The phase factors
-    are shared across the F fields, which is the whole point.
+    stack: (F, n, n) modes.  Agrees with the direct sum to round-off (see
+    above).  The cost is one 2n x 2n inverse FFT per field, made once for
+    a read-only stack, plus O(F W^2) per point.
     """
+    return _evaluate(grid, stack, points)
+
+
+def _evaluate(grid: TorusGrid, modes: np.ndarray,
+              points: np.ndarray) -> np.ndarray:
+    """(F, m) values of (n, n) (F = 1) or (F, n, n) modes."""
+    modes = np.asarray(modes)
+    if modes.ndim not in (2, 3) or modes.shape[-2:] != (grid.n, grid.n):
+        raise GridMismatchError(
+            f"modes shape {modes.shape} does not match grid n={grid.n}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-    nf = stack.shape[0]
-    out = np.empty((nf, points.shape[0]), dtype=complex)
-    for lo in range(0, points.shape[0], chunk):
-        hi = min(lo + chunk, points.shape[0])
-        ex = np.exp(2j * np.pi * np.outer(points[lo:hi, 0], k))
-        ey = np.exp(2j * np.pi * np.outer(points[lo:hi, 1], k))
-        t = np.tensordot(stack, ey, axes=([2], [1]))   # (F, n, chunk)
-        out[:, lo:hi] = np.einsum("pk,fkp->fp", ex, t)
-    return out
+    return _contract(_prepared(grid, modes), points)
 
 
 def eval_at(f: ScalarField, points: np.ndarray) -> np.ndarray:
-    """Band-limited interpolation of f at off-grid points (real part)."""
-    return eval_modes_at(f.grid, f.modes, points).real
+    """Band-limited interpolation of f at off-grid points."""
+    return eval_modes_at(f.grid, f.modes, points)
 
 
 def eval_gradient_at(f: ScalarField, points: np.ndarray) -> np.ndarray:
     """Band-limited gradient at off-grid points; returns shape (m, 2)."""
     kx, ky = f.grid.deriv_freqs()
-    gx = eval_modes_at(f.grid, f.modes * (2j * np.pi * kx), points).real
-    gy = eval_modes_at(f.grid, f.modes * (2j * np.pi * ky), points).real
-    return np.stack([gx, gy], axis=-1)
+    stack = np.stack([f.modes * (2j * np.pi * kx), f.modes * (2j * np.pi * ky)])
+    return eval_modes_stack_at(f.grid, stack, points).T
 
 
 def wrap_offset(d: np.ndarray) -> np.ndarray:

@@ -280,32 +280,39 @@ def _panel_nodes(edges: np.ndarray, order: int):
 
 class _StackEval:
     """Batched exact evaluation of both Green's fields (+metric exponent)
-    at scattered points, sharing one BLAS pass for all mode arrays."""
+    at scattered points: one off-grid pass for all mode arrays, whose
+    oversampled grid is built once per evaluator (the stack is
+    read-only), and one image sum per pole for both fields (a GreenPair's
+    fields share their poles)."""
 
     def __init__(self, tf: TestFunctionPair):
-        self.tf = tf
         grid = tf.metric.grid
         kx, ky = grid.deriv_freqs()
         mats = []
-        for k in (1, 2):
-            b = tf.pair.field(k).band.modes
+        self.fields = (tf.pair.G1, tf.pair.G2)
+        for g in self.fields:
+            b = g.band.modes
             mats += [b, b * (2j * np.pi * kx), b * (2j * np.pi * ky)]
         self.curved = not tf.metric.is_flat
         if self.curved:
             mats.append(tf.metric.phi.modes)
-        self.stack = np.ascontiguousarray(np.stack(mats))
+        self.stack = np.stack(mats)
+        self.stack.flags.writeable = False
+        self.strengths = np.array([g.strengths for g in self.fields])
         self.grid = grid
 
     def __call__(self, pts: np.ndarray, gradients: bool = True) -> dict:
-        tf = self.tf
-        res = spectral.eval_modes_stack_at(self.grid, self.stack, pts).real
+        res = spectral.eval_modes_stack_at(self.grid, self.stack, pts)
+        g1 = self.fields[0]
+        images = g1.image_values(pts, self.strengths)
+        if gradients:
+            image_grads = g1.image_gradients(pts, self.strengths)
         out = {}
-        for j, k in enumerate((1, 2)):
-            g = tf.pair.field(k)
-            out[f"G{k}"] = res[3 * j] + g.const + g.image_values(pts)
+        for j, (k, g) in enumerate(zip((1, 2), self.fields)):
+            out[f"G{k}"] = res[3 * j] + g.const + images[j]
             if gradients:
                 grad = np.stack([res[3 * j + 1], res[3 * j + 2]], axis=1)
-                out[f"dG{k}"] = grad + g.image_gradients(pts)
+                out[f"dG{k}"] = grad + image_grads[j]
         if self.curved:
             out["weight"] = np.exp(res[-1])
         else:
@@ -532,18 +539,22 @@ class _Phi0Evaluator:
 
     def _ring_block(self, k: int, i: int) -> float:
         """integral of (1-chi) e^{G_k} dV_g on [r_st, delta_cut] around the
-        field's own blow-up point, scaled by eps^-2 (without e^{C_k})."""
+        field's own blow-up point, scaled by eps^-2 (without e^{C_k}).
+
+        Dyadic panels from r_st, with the cutoff's C^2 knot a_chi as one
+        more edge so that every panel's integrand is smooth."""
         tf = self.tf
         p = tf.points[i]
         c = tf.scales[i]
         r_st = self.stitch * self.le / c
         a_chi = max(r_st, 0.6 * self.delta_cut)
+        edges = [r_st]
+        while edges[-1] < self.delta_cut:
+            edges.append(min(edges[-1] * 2.0, self.delta_cut))
+        edges = np.union1d(edges, [a_chi])
         prev = None
         for order in (16, 24):
-            edges = [r_st]
-            while edges[-1] < self.delta_cut:
-                edges.append(min(edges[-1] * 2.0, self.delta_cut))
-            r_nodes, r_w = _panel_nodes(np.asarray(edges), order)
+            r_nodes, r_w = _panel_nodes(edges, order)
             nth = 64
             th = (np.arange(nth) + 0.5) * (2.0 * math.pi / nth)
             pts = np.empty((r_nodes.size * nth, 2))
@@ -559,17 +570,16 @@ class _Phi0Evaluator:
             if prev is not None and abs(ring - prev) <= self.tol * max(1.0, abs(ring)):
                 return ring
             prev = ring
-        return ring
+        raise AccuracyError(
+            f"ring quadrature of G{k} at point {i} did not converge; "
+            f"orders 16 / 24 give {prev} / {ring}")
 
     def _grid_exp(self, k: int, i: int) -> float:
         """Masked grid sum of e^{G_k} dV_g outside the dyadic ring, scaled
         by eps^-2."""
         tf = self.tf
         grid = tf.metric.grid
-        key = f"_gridvals_{k}"
-        if not hasattr(self, key):
-            setattr(self, key, tf.pair.field(k).grid_values())
-        gvals = getattr(self, key)
+        gvals = tf.pair.field(k).grid_values()
         X, Y = grid.mesh()
         p = tf.points[i]
         r = np.sqrt(spectral.wrap_offset(X - p[0]) ** 2

@@ -54,6 +54,24 @@ def test_bad_eps_list_exits_64(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", [
+    "points = 0.5,abc\n",
+    "solver.max_iter = -5\nsolver.grad_tol = nan\n",
+    "solver.max_iter = -5\n",
+    "solver.grad_tol = nan\n",
+    "solver.grad_tol = 0\n",
+    "metric.kind = cosine:nan\n",
+    "testfn.L_coupling = fixed:abc\n",
+])
+def test_bad_values_exit_64_with_one_line(tmp_path, capsys, text):
+    path = write_config(tmp_path, "grid.n = 64\neps = 0.5\n" + text)
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "solve.json").exists()
+
+
 def test_metric_kind_validation():
     assert RunConfig({"metric.kind": "cosine:0.2"}).metric_kind == "cosine:0.2"
     with pytest.raises(ConfigError):

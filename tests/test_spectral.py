@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from todalab import spectral
 from todalab.errors import ConfigError, DataError, GridMismatchError, SolvabilityError
 from todalab.spectral import (
     ScalarField,
@@ -12,6 +14,9 @@ from todalab.spectral import (
     VectorField,
     dirichlet_form,
     eval_at,
+    eval_gradient_at,
+    eval_modes_at,
+    eval_modes_stack_at,
     gradient0,
     laplacian0,
     load_field_values,
@@ -190,6 +195,125 @@ def test_eval_at_band_limited():
     vals = eval_at(f, pts)
     expect = np.sin(TWO_PI * pts[:, 0]) * np.cos(2 * TWO_PI * pts[:, 1])
     assert np.max(np.abs(vals - expect)) < 1e-12
+
+
+def dense_mode_sum(stack, points):
+    """The direct sum over every mode, Re sum_k c_k exp(2 pi i k.x): the
+    oracle for the off-grid evaluator, O(F m n^2)."""
+    n = stack.shape[-1]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    ex = np.exp(2j * np.pi * np.outer(points[:, 0], k))
+    ey = np.exp(2j * np.pi * np.outer(points[:, 1], k))
+    t = np.tensordot(stack, ey, axes=([2], [1]))          # (F, n, m)
+    return np.einsum("pk,fkp->fp", ex, t).real
+
+
+def offgrid_points(n, rng):
+    """Random points, grid nodes, points on and across the 0/1 seam, and
+    negative coordinates (integral_against evaluates at -p)."""
+    h = 1.0 / n
+    nodes = np.array([[0.0, 0.0], [h, 2 * h], [0.5, 0.75], [1 - h, 1 - h]])
+    seam = np.array([[1.0 - 1e-13, 0.3], [0.3, 1.0 - 1e-13], [1e-13, 1e-13],
+                     [1.0, 0.5], [0.999, 0.001]])
+    negative = -rng.random((20, 2))
+    return np.concatenate([rng.random((200, 2)), nodes, seam, negative])
+
+
+def white_noise_modes(n, count, rng):
+    """Modes of real fields with equal weight on every mode, Nyquist
+    row and column included: the hardest band-limited input."""
+    return np.fft.fft2(rng.normal(size=(count, n, n))) / n ** 2
+
+
+def assert_matches_dense(grid, stack, points, tol=1e-13):
+    ref = dense_mode_sum(stack, points)
+    got = eval_modes_stack_at(grid, stack, points)
+    scale = np.max(np.abs(ref), axis=1)
+    assert got.shape == ref.shape
+    assert np.all(np.max(np.abs(got - ref), axis=1) <= tol * scale)
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_offgrid_single_field_matches_dense_sum(n):
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(n)
+    modes = white_noise_modes(n, 1, rng)
+    pts = offgrid_points(n, rng)
+    assert_matches_dense(grid, modes, pts)
+    one = eval_modes_at(grid, modes[0], pts)
+    assert np.array_equal(one, eval_modes_stack_at(grid, modes, pts)[0])
+
+
+def test_offgrid_curved_stack_matches_dense_sum():
+    from todalab.geometry import make_conformal_metric
+    from todalab.greens import extract_expansions, green_pair_case1
+    from todalab.testfn import _StackEval, build_test_case1
+
+    grid = TorusGrid(128)
+    X, Y = grid.mesh()
+    metric = make_conformal_metric(ScalarField(
+        grid, 0.5 * np.cos(TWO_PI * X) * np.cos(TWO_PI * Y)))
+    pair = green_pair_case1((0.25, 0.25), (0.75, 0.75), metric)
+    extract_expansions(pair)
+    stack = _StackEval(build_test_case1(pair, 1e-3)).stack
+    assert stack.shape == (7, 128, 128) and not stack.flags.writeable
+    pts = offgrid_points(128, np.random.default_rng(1))
+    assert_matches_dense(grid, stack, pts)
+
+
+def test_offgrid_grid_kept_while_read_only_modes_live():
+    grid = TorusGrid(32)
+    rng = np.random.default_rng(2)
+    pts = offgrid_points(32, rng)
+    modes = white_noise_modes(32, 2, rng)
+    first = eval_modes_stack_at(grid, modes, pts)
+    assert id(modes) not in spectral._PREPARED     # writeable: not kept
+    modes.flags.writeable = False
+    key = id(modes)
+    assert np.array_equal(eval_modes_stack_at(grid, modes, pts), first)
+    assert key in spectral._PREPARED
+    assert np.array_equal(eval_modes_stack_at(grid, modes, pts), first)
+    del modes
+    gc.collect()
+    assert key not in spectral._PREPARED
+
+
+def test_offgrid_nyquist_modes():
+    n = 64
+    grid = TorusGrid(n)
+    modes = np.zeros((2, n, n), dtype=complex)
+    modes[0, n // 2, 0] = 1.0            # cos(pi n x): frequency -n/2
+    modes[1, n // 2, n // 2] = 0.5j      # Re: 0.5 sin(pi n (x + y))
+    rng = np.random.default_rng(4)
+    pts = offgrid_points(n, rng)
+    assert_matches_dense(grid, modes, pts)
+    got = eval_modes_stack_at(grid, modes, pts)
+    x, y = pts[:, 0], pts[:, 1]
+    assert np.max(np.abs(got[0] - np.cos(math.pi * n * x))) < 1e-12
+    assert np.max(np.abs(got[1] - 0.5 * np.sin(math.pi * n * (x + y)))) < 1e-12
+    nodes = np.stack(np.meshgrid(np.arange(n) / n, [0.25]), -1).reshape(-1, 2)
+    alternating = (-1.0) ** np.arange(n)
+    assert np.max(np.abs(eval_modes_at(grid, modes[0], nodes)
+                         - alternating)) < 1e-13
+
+
+def test_offgrid_gradient_matches_dense_sum():
+    grid = TorusGrid(64)
+    rng = np.random.default_rng(8)
+    f = rand_band_limited(grid, rng, kmax=20)
+    kx, ky = grid.deriv_freqs()
+    stack = np.stack([f.modes * (2j * np.pi * kx), f.modes * (2j * np.pi * ky)])
+    pts = offgrid_points(64, rng)
+    ref = dense_mode_sum(stack, pts).T
+    got = eval_gradient_at(f, pts)
+    assert got.shape == (pts.shape[0], 2)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_offgrid_rejects_wrong_grid():
+    with pytest.raises(GridMismatchError):
+        eval_modes_stack_at(TorusGrid(32), np.zeros((2, 64, 64)),
+                            np.zeros((1, 2)))
 
 
 def test_wrap_offset():

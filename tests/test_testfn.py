@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from todalab.bubble import lower_bound_case1, lower_bound_case2, case2_closing_constant
-from todalab.errors import ConfigError, GeometryError
+from todalab.errors import AccuracyError, ConfigError, GeometryError
 from todalab.geometry import integrate, make_flat_torus
 from todalab.greens import extract_expansions, green_pair_case1
 from todalab.spectral import ScalarField, dirichlet_form
 from todalab.testfn import (
+    _Phi0Evaluator,
     DEFAULT_EPS_LIST,
     asymptotic_fit_case1,
     asymptotic_fit_case2,
@@ -138,6 +139,17 @@ def test_breakdown_composition(pair1_128):
     recombined = bd["quadratic"] + FOUR_PI * (bd["mean_1"] + bd["mean_2"]) \
         - FOUR_PI * (bd["log_int_1"] + bd["log_int_2"])
     assert bd["value"] == pytest.approx(recombined, abs=1e-12)
+
+
+def test_ring_block_converges(pair1_128):
+    # at 10^-2.5 the cutoff's C^2 knot used to fall inside a dyadic panel,
+    # and orders 16 and 24 differed by 1.2e-5 against tol = 1e-11
+    ev = _Phi0Evaluator(build_test_case1(pair1_128, 10.0 ** -2.5))
+    for k, own in ((1, 0), (2, 1)):
+        assert ev._ring_block(k, own) > 0.0   # raises unless converged
+    ev.tol = -1.0
+    with pytest.raises(AccuracyError):
+        ev._ring_block(1, 0)
 
 
 def test_metric_mismatch_rejected(pair1_128):
