@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -70,9 +69,8 @@ class RunConfig:
         canon = "\n".join(f"{k}={merged[k]}" for k in sorted(merged))
         self.digest = hashlib.sha256(canon.encode()).hexdigest()
 
-        self.n = self._int("grid.n")
-        if self.n < 8 or self.n % 2:
-            raise ConfigError(f"grid.n must be even and >= 8, got {self.n}")
+        self.grid = TorusGrid(self._int("grid.n"))
+        self.n = self.grid.n
         self.metric_kind = merged["metric.kind"]
         if self.metric_kind.startswith("file="):
             path = self.metric_kind[5:]
@@ -151,9 +149,8 @@ class RunConfig:
                     f"grid.n={self.n}")
             return metric
         amp = float(self.metric_kind.split(":", 1)[1])
-        grid = TorusGrid(self.n)
-        X, Y = grid.mesh()
-        phi = ScalarField(grid, amp * np.cos(2 * np.pi * X)
+        X, Y = self.grid.mesh()
+        phi = ScalarField(self.grid, amp * np.cos(2 * np.pi * X)
                           * np.cos(2 * np.pi * Y))
         return make_conformal_metric(phi)
 
@@ -393,12 +390,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     metric = cfg.metric()
     opts = diagnostics.SweepOptions(solver=cfg.solver)
     records = diagnostics.sweep(cfg.sweep_eps, metric, opts)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "sweep.csv")
-    text = diagnostics.sweep_records_to_csv(records)
-    with open(path, "w") as fh:
-        fh.write(f"# config_sha256={cfg.digest}\n")
-        fh.write(text)
+    payload = {**_report_header(cfg), "runs": [r.to_record() for r in records]}
+    path = _write_report(cfg, "sweep", payload, rows_key="runs")
     classes = [r.classification for r in records]
     print(f"sweep: {len(records)} runs, classifications: "
           f"{', '.join(classes)}; report: {path}")

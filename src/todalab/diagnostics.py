@@ -10,8 +10,6 @@ rescaled field is to the standard bubble.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -27,7 +25,6 @@ from .spectral import ScalarField
 
 __all__ = [
     "SweepOptions", "SweepRecord", "rescaled_profile_error", "sweep",
-    "sweep_records_to_csv",
 ]
 
 FOUR_PI = 4.0 * math.pi
@@ -189,18 +186,3 @@ def sweep(eps_list, metric: Metric, opts: SweepOptions | None = None
         records.append(rec)
     return records
 
-
-def sweep_records_to_csv(records: list[SweepRecord]) -> str:
-    """Flatten sweep records to CSV text, one row per eps."""
-    rows = [r.to_record() for r in records]
-    keys: list[str] = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()

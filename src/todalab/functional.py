@@ -210,24 +210,13 @@ def phi_eps(u1: ScalarField, u2: ScalarField, eps: float, metric: Metric) -> flo
 
 
 def _phi_eps_core(u1v, u2v, eps, metric, grid):
-    """Energy and dx-gradients from raw value arrays; shares the FFTs."""
+    """Energy (phi_eps) and dx-gradients from raw value arrays; the two
+    share the fields' modes."""
+    f1, f2 = ScalarField(grid, u1v), ScalarField(grid, u2v)
+    energy = phi_eps(f1, f2, eps, metric)
     rho = FOUR_PI - eps
-    n2 = grid.n ** 2
-    m1 = np.fft.fft2(u1v) / n2
-    m2 = np.fft.fft2(u2v) / n2
-    kx, ky = grid.deriv_freqs()
-    mult = 4.0 * np.pi ** 2 * (kx ** 2 + ky ** 2)
-    d11 = float(np.real(np.sum(mult * m1 * np.conj(m1))))
-    d22 = float(np.real(np.sum(mult * m2 * np.conj(m2))))
-    d12 = float(np.real(np.sum(mult * m1 * np.conj(m2))))
-    energy = (d11 + d22 + d12) / 3.0 \
-        + rho * float(np.mean((u1v + u2v) * metric.weight)) \
-        - rho * (_log_int_exp(u1v, metric) + _log_int_exp(u2v, metric))
-
-    kx2, ky2 = grid.freqs()
-    lap_mult = -4.0 * np.pi ** 2 * (kx2 ** 2 + ky2 ** 2)
-    lap_a = np.fft.ifft2(lap_mult * (2.0 * m1 + m2)).real * n2
-    lap_b = np.fft.ifft2(lap_mult * (m1 + 2.0 * m2)).real * n2
+    lap_a = spectral.to_values(grid.laplacian * (2.0 * f1.modes + f2.modes))
+    lap_b = spectral.to_values(grid.laplacian * (f1.modes + 2.0 * f2.modes))
 
     grads = []
     for uv, lap in ((u1v, lap_a), (u2v, lap_b)):
@@ -288,9 +277,7 @@ def el_residual(u1: ScalarField, u2: ScalarField, eps: float,
 
 def _precondition(g: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Apply (I - Delta_0)^{-1} in mode space."""
-    kx, ky = grid.freqs()
-    mult = 1.0 + 4.0 * np.pi ** 2 * (kx ** 2 + ky ** 2)
-    return np.fft.ifft2(np.fft.fft2(g) / mult).real
+    return spectral.to_values(spectral.to_modes(g) / (1.0 - grid.laplacian))
 
 
 @dataclass

@@ -145,20 +145,17 @@ def _screened_remainder_modes(grid: TorusGrid, p, eta: float) -> np.ndarray:
     """Modes of the band-limited remainder R_p: (4 pi^2 k^2) R = gamma_p,
     zero mode fixed so the assembled flat Green's function has zero mean."""
     kx, ky = grid.freqs()
-    k2 = kx ** 2 + ky ** 2
     phase = np.exp(-2j * np.pi * (kx * p[0] + ky * p[1]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = phase * np.exp(-2.0 * np.pi ** 2 * eta ** 2 * k2) / (4.0 * np.pi ** 2 * k2)
+        out = phase * np.exp(-2.0 * np.pi ** 2 * eta ** 2 * grid.k2) / -grid.laplacian
     out[0, 0] = -eta * eta / 2.0
     return out
 
 
 def _point_green_mean_mult(grid: TorusGrid, eta: float) -> np.ndarray:
     """Multiplier M(k) with integral(V(x-p) w(x) dx) = Re sum_k M e^{-2 pi i k p} conj(what)."""
-    kx, ky = grid.freqs()
-    k2 = kx ** 2 + ky ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (1.0 - np.exp(-2.0 * np.pi ** 2 * eta ** 2 * k2)) / (4.0 * np.pi ** 2 * k2)
+        out = (1.0 - np.exp(-2.0 * np.pi ** 2 * eta ** 2 * grid.k2)) / -grid.laplacian
     out[0, 0] = eta * eta / 2.0
     return out
 
@@ -279,7 +276,7 @@ class SingularField:
         Fourier coefficients, so no quadrature ever touches a log term.
         Accurate to the spectral tail of the weight.
         """
-        w_modes = np.conj(np.fft.fft2(weight_values)) / self.grid.n ** 2
+        w_modes = np.conj(spectral.to_modes(weight_values))
         mult = _point_green_mean_mult(self.grid, self.eta)
         total = self.const * float(np.real(w_modes[0, 0]))
         total += float(np.real(np.sum(self.band.modes * w_modes)))
@@ -448,9 +445,6 @@ def green_pair_case2(p, metric: Metric, opts: SolverOptions | None = None,
     # stable grid values of e^{s}: entire product times band exponential
     es = s_sing.singular_exp_values() * np.exp(s_sing.band.values)
     weight = metric.weight
-    kx, ky = grid.freqs()
-    lap_mult = -4.0 * np.pi ** 2 * (kx ** 2 + ky ** 2)
-    n2 = grid.n ** 2
 
     def log_z(v):
         mv = float(np.max(v))
@@ -458,14 +452,11 @@ def green_pair_case2(p, metric: Metric, opts: SolverOptions | None = None,
 
     def energy_and_grad(state):
         v = state[0]
-        modes = np.fft.fft2(v) / n2
-        kxd, kyd = grid.deriv_freqs()
-        dmult = 4.0 * np.pi ** 2 * (kxd ** 2 + kyd ** 2)
-        dir2 = float(np.real(np.sum(dmult * modes * np.conj(modes))))
+        f = ScalarField(grid, v)
         lz = log_z(v)
-        energy = 0.5 * dir2 + 8.0 * math.pi * float(np.mean(v * weight)) \
-            - 8.0 * math.pi * lz
-        lap = np.fft.ifft2(lap_mult * modes).real * n2
+        energy = 0.5 * spectral.dirichlet_form(f, f) \
+            + 8.0 * math.pi * float(np.mean(v * weight)) - 8.0 * math.pi * lz
+        lap = spectral.laplacian0(f).values
         mv = float(np.max(v))
         dens = np.exp(v - mv) * es * weight
         dens = dens / float(np.mean(dens))
@@ -491,10 +482,8 @@ def green_pair_case2(p, metric: Metric, opts: SolverOptions | None = None,
         d = spectral.wrap_offset(pts - p)
         r_near = np.sqrt((d ** 2).sum(axis=1)).reshape(grid.n, grid.n)
         v0 = -(s_reg + 2.0 * np.log(np.maximum(r_near, 4.0 * grid.h)))
-        v0_modes = np.fft.fft2(v0) / n2
-        k2 = kx ** 2 + ky ** 2
-        v0 = np.fft.ifft2(v0_modes * np.exp(-(2.0 * np.pi * 2.0 * grid.h) ** 2
-                                            * k2)).real * n2
+        v0 = spectral.to_values(spectral.to_modes(v0) * np.exp(
+            -(2.0 * np.pi * 2.0 * grid.h) ** 2 * grid.k2))
         raw2 = run_descent([v0], grid, energy_and_grad, project,
                            grad_norm_of, ceiling_of, opts)
         if raw2.converged or raw2.energy_trace[-1] < raw.energy_trace[-1]:
@@ -507,7 +496,7 @@ def green_pair_case2(p, metric: Metric, opts: SolverOptions | None = None,
     v = raw.state[0]
     shift = log_z(v)  # residual normalization shift (projected, so ~0)
     G2 = SingularField(grid, [p], [-4.0 * math.pi],
-                       s_band + np.fft.fft2(v) / n2, const=-shift)
+                       s_band + spectral.to_modes(v), const=-shift)
     eg2 = np.exp(v - shift) * es
     mean_g2 = G2.mean_dVg(metric)
 

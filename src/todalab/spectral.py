@@ -14,19 +14,26 @@ reads ``integral(f * conj(g)) = sum_k fhat_k * conj(ghat_k)``.
 First derivatives zero the Nyquist column/row (the standard symmetric
 choice for real transforms); the Laplacian keeps the full multiplier
 ``-4*pi^2*|k|^2``, which is exact on every representable mode.
+
+This module is the only one that calls ``np.fft``: other modules move
+between values and modes with ``to_modes``/``to_values`` and take their
+Fourier multipliers from the grid's table (``TorusGrid.k2``,
+``laplacian``, ``ik``, ``dirichlet``), which is built once per grid and
+is read-only.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DataError, GridMismatchError, SolvabilityError
 
 __all__ = [
-    "TorusGrid", "ScalarField", "VectorField",
+    "TorusGrid", "ScalarField", "VectorField", "to_modes", "to_values",
     "laplacian0", "solve_poisson0", "gradient0", "dirichlet_form",
     "product_dealiased", "eval_modes_at", "eval_modes_stack_at",
     "eval_at", "eval_gradient_at",
@@ -63,14 +70,54 @@ class TorusGrid:
         k = np.fft.fftfreq(self.n, d=1.0 / self.n)
         return k[:, None], k[None, :]
 
-    def deriv_freqs(self) -> tuple[np.ndarray, np.ndarray]:
+    def _deriv_freqs(self) -> tuple[np.ndarray, np.ndarray]:
         """Frequencies for first derivatives: Nyquist entry zeroed."""
+        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        k[self.n // 2] = 0.0
+        return k[:, None], k[None, :]
+
+    # The multiplier table: each entry is built on first use, kept on the
+    # grid and shared, read-only, by every field and operator on it.
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        """|k|^2 on the (n, n) mode grid."""
         kx, ky = self.freqs()
-        kx = kx.copy()
-        ky = ky.copy()
-        kx[self.n // 2, 0] = 0.0
-        ky[0, self.n // 2] = 0.0
-        return kx, ky
+        return _read_only(kx ** 2 + ky ** 2)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """-4 pi^2 |k|^2, the flat Laplacian's multiplier."""
+        return _read_only(-4.0 * np.pi ** 2 * self.k2)
+
+    @cached_property
+    def ik(self) -> tuple[np.ndarray, np.ndarray]:
+        """2 pi i k_x and 2 pi i k_y of first derivatives, Nyquist zeroed,
+        as broadcastable (n, 1) and (1, n) arrays."""
+        kx, ky = self._deriv_freqs()
+        return _read_only(2j * np.pi * kx), _read_only(2j * np.pi * ky)
+
+    @cached_property
+    def dirichlet(self) -> np.ndarray:
+        """4 pi^2 |k|^2 with the derivatives' Nyquist rule: the Dirichlet
+        form's multiplier."""
+        kx, ky = self._deriv_freqs()
+        return _read_only(4.0 * np.pi ** 2 * (kx ** 2 + ky ** 2))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def to_modes(values: np.ndarray) -> np.ndarray:
+    """Modes of (..., m, m) grid values: fft2(values) / m^2."""
+    return np.fft.fft2(values) / values.shape[-1] ** 2
+
+
+def to_values(modes: np.ndarray) -> np.ndarray:
+    """Real grid values of (..., m, m) modes: Re ifft2(modes) * m^2."""
+    return np.fft.ifft2(modes).real * modes.shape[-1] ** 2
 
 
 class ScalarField:
@@ -93,8 +140,7 @@ class ScalarField:
         if modes.shape != (grid.n, grid.n):
             raise GridMismatchError(
                 f"modes shape {modes.shape} does not match grid n={grid.n}")
-        values = np.fft.ifft2(modes).real * grid.n ** 2
-        return cls(grid, values, _modes=modes)
+        return cls(grid, to_values(modes), _modes=modes)
 
     @classmethod
     def constant(cls, grid: TorusGrid, c: float) -> "ScalarField":
@@ -103,7 +149,7 @@ class ScalarField:
     @property
     def modes(self) -> np.ndarray:
         if self._modes is None:
-            self._modes = np.fft.fft2(self.values) / self.grid.n ** 2
+            self._modes = to_modes(self.values)
         return self._modes
 
     def mean(self) -> float:
@@ -139,9 +185,7 @@ def _same_grid(f: ScalarField, g: ScalarField) -> TorusGrid:
 
 def laplacian0(f: ScalarField) -> ScalarField:
     """Flat Laplacian (d^2/dx^2 + d^2/dy^2), spectral multiplier -4 pi^2 |k|^2."""
-    kx, ky = f.grid.freqs()
-    mult = -4.0 * np.pi ** 2 * (kx ** 2 + ky ** 2)
-    return ScalarField.from_modes(f.grid, f.modes * mult)
+    return ScalarField.from_modes(f.grid, f.modes * f.grid.laplacian)
 
 
 def solve_poisson0(rhs: ScalarField, mean_tol: float = 1e-8) -> ScalarField:
@@ -154,19 +198,15 @@ def solve_poisson0(rhs: ScalarField, mean_tol: float = 1e-8) -> ScalarField:
     scale = float(np.max(np.abs(rhs.values))) or 1.0
     if abs(mean) > mean_tol * max(1.0, scale):
         raise SolvabilityError(mean)
-    kx, ky = rhs.grid.freqs()
-    mult = -4.0 * np.pi ** 2 * (kx ** 2 + ky ** 2)
-    mult[0, 0] = 1.0  # placeholder; zero mode handled below
-    out = rhs.modes / mult
-    out[0, 0] = 0.0
+    mult = rhs.grid.laplacian
+    out = np.divide(rhs.modes, mult, out=np.zeros_like(rhs.modes),
+                    where=mult != 0.0)          # the zero mode stays 0
     return ScalarField.from_modes(rhs.grid, out)
 
 
 def gradient0(f: ScalarField) -> VectorField:
     """Spectral gradient; Nyquist derivative set to zero."""
-    kx, ky = f.grid.deriv_freqs()
-    fx = ScalarField.from_modes(f.grid, f.modes * (2j * np.pi * kx))
-    fy = ScalarField.from_modes(f.grid, f.modes * (2j * np.pi * ky))
+    fx, fy = (ScalarField.from_modes(f.grid, f.modes * ik) for ik in f.grid.ik)
     return VectorField(fx, fy)
 
 
@@ -178,28 +218,20 @@ def dirichlet_form(f: ScalarField, g: ScalarField) -> float:
     quadrature of the gradients holds to round-off.
     """
     grid = _same_grid(f, g)
-    kx, ky = grid.deriv_freqs()
-    mult = 4.0 * np.pi ** 2 * (kx ** 2 + ky ** 2)
-    return float(np.real(np.sum(mult * f.modes * np.conj(g.modes))))
+    return float(np.real(np.sum(grid.dirichlet * f.modes * np.conj(g.modes))))
 
 
-def _pad_modes(modes: np.ndarray, n: int, m: int) -> np.ndarray:
+def _band(n: int, m: int):
+    """Index of the n x n modes inside an m x m mode array (m >= n): the
+    nonnegative frequencies first, the negative ones (Nyquist included)
+    at the end."""
+    idx = np.r_[:n // 2, m - n // 2:m]
+    return np.ix_(idx, idx)
+
+
+def _pad_modes(modes: np.ndarray, m: int) -> np.ndarray:
     out = np.zeros((m, m), dtype=complex)
-    half = n // 2
-    out[:half, :half] = modes[:half, :half]
-    out[:half, m - half:] = modes[:half, half:]
-    out[m - half:, :half] = modes[half:, :half]
-    out[m - half:, m - half:] = modes[half:, half:]
-    return out
-
-
-def _truncate_modes(modes: np.ndarray, m: int, n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=complex)
-    half = n // 2
-    out[:half, :half] = modes[:half, :half]
-    out[:half, half:] = modes[:half, m - half:]
-    out[half:, :half] = modes[m - half:, :half]
-    out[half:, half:] = modes[m - half:, m - half:]
+    out[_band(modes.shape[-1], m)] = modes
     return out
 
 
@@ -208,10 +240,9 @@ def product_dealiased(f: ScalarField, g: ScalarField) -> ScalarField:
     grid = _same_grid(f, g)
     n = grid.n
     m = 3 * n // 2
-    fv = np.fft.ifft2(_pad_modes(f.modes, n, m)).real * m ** 2
-    gv = np.fft.ifft2(_pad_modes(g.modes, n, m)).real * m ** 2
-    prod = np.fft.fft2(fv * gv) / m ** 2
-    return ScalarField.from_modes(grid, _truncate_modes(prod, m, n))
+    fv = to_values(_pad_modes(f.modes, m))
+    gv = to_values(_pad_modes(g.modes, m))
+    return ScalarField.from_modes(grid, to_modes(fv * gv)[_band(n, m)])
 
 
 # Off-grid evaluation is a type-2 non-uniform FFT (Dutt-Rokhlin 1993;
@@ -226,7 +257,10 @@ def product_dealiased(f: ScalarField, g: ScalarField) -> ScalarField:
 # to Nyquist.
 _ES_WIDTH = 16
 _ES_BETA = 2.30 * _ES_WIDTH
-_EVAL_CHUNK = 1024                 # points per gathered block batch
+# points per gathered block batch: a batch gathers chunk * W^2 * F
+# doubles (3.1 MB for the six-field stack), which sets the memory peak
+# of a phi0 evaluation
+_EVAL_CHUNK = 256
 _PREPARED: dict = {}               # id(modes) -> (weakref, oversampled grid)
 
 
@@ -269,7 +303,7 @@ def _oversampled(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
     decon = np.outer(corr, corr)
     out = np.empty((m + w - 1, m + w - 1, stack.shape[0]))
     for f, field_modes in enumerate(stack):  # one complex (2n, 2n) at a time
-        u = np.fft.ifft2(_pad_modes(field_modes * decon, n, m)).real * m ** 2
+        u = to_values(_pad_modes(field_modes * decon, m))
         out[:, :, f] = np.pad(u, (0, w - 1), mode="wrap")
     return out
 
@@ -351,8 +385,7 @@ def eval_at(f: ScalarField, points: np.ndarray) -> np.ndarray:
 
 def eval_gradient_at(f: ScalarField, points: np.ndarray) -> np.ndarray:
     """Band-limited gradient at off-grid points; returns shape (m, 2)."""
-    kx, ky = f.grid.deriv_freqs()
-    stack = np.stack([f.modes * (2j * np.pi * kx), f.modes * (2j * np.pi * ky)])
+    stack = np.stack([f.modes * ik for ik in f.grid.ik])
     return eval_modes_stack_at(f.grid, stack, points).T
 
 

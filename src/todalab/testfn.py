@@ -283,33 +283,37 @@ class _StackEval:
     at scattered points: one off-grid pass for all mode arrays, whose
     oversampled grid is built once per evaluator (the stack is
     read-only), and one image sum per pole for both fields (a GreenPair's
-    fields share their poles)."""
+    fields share their poles).  A call without gradients evaluates only
+    the value rows, a read-only view of every third row of the stack."""
 
     def __init__(self, tf: TestFunctionPair):
         grid = tf.metric.grid
-        kx, ky = grid.deriv_freqs()
+        ikx, iky = grid.ik
         mats = []
         self.fields = (tf.pair.G1, tf.pair.G2)
         for g in self.fields:
             b = g.band.modes
-            mats += [b, b * (2j * np.pi * kx), b * (2j * np.pi * ky)]
+            mats += [b, b * ikx, b * iky]
         self.curved = not tf.metric.is_flat
         if self.curved:
             mats.append(tf.metric.phi.modes)
         self.stack = np.stack(mats)
         self.stack.flags.writeable = False
+        self.value_rows = self.stack[::3]     # G1, G2 (and phi): no gradients
         self.strengths = np.array([g.strengths for g in self.fields])
         self.grid = grid
 
     def __call__(self, pts: np.ndarray, gradients: bool = True) -> dict:
-        res = spectral.eval_modes_stack_at(self.grid, self.stack, pts)
+        rows = 3 if gradients else 1        # stack rows per field
+        res = spectral.eval_modes_stack_at(
+            self.grid, self.stack if gradients else self.value_rows, pts)
         g1 = self.fields[0]
         images = g1.image_values(pts, self.strengths)
         if gradients:
             image_grads = g1.image_gradients(pts, self.strengths)
         out = {}
         for j, (k, g) in enumerate(zip((1, 2), self.fields)):
-            out[f"G{k}"] = res[3 * j] + g.const + images[j]
+            out[f"G{k}"] = res[rows * j] + g.const + images[j]
             if gradients:
                 grad = np.stack([res[3 * j + 1], res[3 * j + 2]], axis=1)
                 out[f"dG{k}"] = grad + image_grads[j]

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -46,6 +47,18 @@ def test_bad_grid_exits_64(tmp_path, capsys):
     path = write_config(tmp_path, "grid.n = 63\n")
     assert main(["solve", "--config", path]) == 64
     capsys.readouterr()
+
+
+def test_grid_n_not_power_of_two_exits_64_with_one_line(tmp_path, capsys):
+    # grid.n follows TorusGrid's rule at parse time, also for commands
+    # that build no grid from it
+    path = write_config(tmp_path, "grid.n = 24\n")
+    assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "power of two" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "verify.json").exists()
 
 
 def test_bad_eps_list_exits_64(tmp_path, capsys):
@@ -184,16 +197,44 @@ def test_testfn_fixed_L(tmp_path, capsys):
 
 
 def test_sweep_writes_csv(tmp_path, capsys):
-    path = write_config(tmp_path,
-                        "grid.n = 64\nsweep.eps_list = 1.0,0.5\n")
+    path = write_config(tmp_path, "grid.n = 64\nsweep.eps_list = 1.0,0.5\n"
+                        "output.format = csv\n")
     code = main(["sweep", "--config", path, "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
     assert "converged, converged" in out
-    lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines[0].startswith("# config_sha256=")
-    assert lines[1].split(",")[0] == "eps"
-    assert len(lines) == 4
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["eps"] for row in rows] == ["1.0", "0.5"]
+    assert {row["config_sha256"] for row in rows} == {parse_config(path).digest}
+
+
+SWEEP_KEYS = ("eps", "classification", "profile_error", "r1", "r2", "x1",
+              "y1", "x2", "y2", "converged", "iterations")
+
+
+def test_sweep_report_formats(tmp_path, capsys):
+    path = write_config(tmp_path, "grid.n = 64\nsweep.eps_list = 1.0,0.5\n"
+                        "solver.max_iter = 50\n")
+    for fmt in ("json", "csv"):
+        reports = []
+        for run in ("a", "b"):
+            out = tmp_path / fmt / run
+            assert main(["sweep", "--config", path, "--out", str(out),
+                         "--format", fmt]) == 0
+            assert [p.name for p in out.iterdir()] == [f"sweep.{fmt}"]
+            reports.append((out / f"sweep.{fmt}").read_bytes())
+        assert reports[0] == reports[1]
+        text = reports[0].decode()
+        if fmt == "json":
+            rows = json.loads(text)["runs"]
+            keys = set(rows[0])
+        else:
+            lines = text.splitlines()
+            rows, keys = lines[1:], set(lines[0].split(","))
+        assert len(rows) == 2
+        assert set(SWEEP_KEYS) <= keys
+    capsys.readouterr()
 
 
 def test_config_digest_stable():

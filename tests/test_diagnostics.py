@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from todalab.bubble import bubble_profile_r
-from todalab.diagnostics import (SweepOptions, rescaled_profile_error,
-                                 sweep, sweep_records_to_csv)
+from todalab.diagnostics import rescaled_profile_error, sweep
 from todalab.errors import ConfigError, ResolutionError
-from todalab.functional import SolverOptions
 from todalab.geometry import make_flat_torus
 from todalab.spectral import ScalarField, wrap_offset
 
@@ -77,20 +75,6 @@ def test_sweep_flat_converges(flat128):
         # full profile depth at the sampling radius
         assert rec.profile_error == pytest.approx(
             2.0 * math.log(1.0 + 25.0 * math.pi), abs=1e-10)
-
-
-def test_sweep_csv(flat128):
-    records = sweep([1.0, 0.5], flat128,
-                    SweepOptions(solver=SolverOptions(max_iter=50)))
-    text = sweep_records_to_csv(records)
-    again = sweep_records_to_csv(records)
-    assert text == again
-    lines = text.strip().split("\n")
-    assert len(lines) == 3
-    header = lines[0].split(",")
-    for key in ("eps", "classification", "profile_error", "r1", "r2",
-                "x1", "y1", "x2", "y2", "converged", "iterations"):
-        assert key in header
 
 
 def test_record_flattening(flat128):

@@ -344,6 +344,20 @@ def test_planted_lump_relaxes():
     assert max(rep.maxima) < 0.25 * float(np.max(lump))
 
 
+def test_phi_eps_is_the_core_energy_on_a_curved_metric():
+    from todalab.functional import _phi_eps_core
+    from todalab.geometry import make_conformal_metric
+
+    grid = TorusGrid(64)
+    X, Y = grid.mesh()
+    metric = make_conformal_metric(ScalarField(
+        grid, 0.5 * np.cos(TWO_PI * X) * np.cos(TWO_PI * Y)))
+    rng = np.random.default_rng(12)
+    u1, u2 = rand_smooth(grid, rng), rand_smooth(grid, rng)
+    energy, _ = _phi_eps_core(u1.values, u2.values, 0.7, metric, grid)
+    assert phi_eps(u1, u2, 0.7, metric) == energy
+
+
 def test_masses_admissible():
     assert masses_admissible((FOUR_PI, FOUR_PI))
     assert not masses_admissible((FOUR_PI + 0.1, FOUR_PI))

@@ -1,5 +1,7 @@
+import ast
 import gc
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -255,10 +257,18 @@ def test_offgrid_curved_stack_matches_dense_sum():
         grid, 0.5 * np.cos(TWO_PI * X) * np.cos(TWO_PI * Y)))
     pair = green_pair_case1((0.25, 0.25), (0.75, 0.75), metric)
     extract_expansions(pair)
-    stack = _StackEval(build_test_case1(pair, 1e-3)).stack
+    ev = _StackEval(build_test_case1(pair, 1e-3))
+    stack = ev.stack
     assert stack.shape == (7, 128, 128) and not stack.flags.writeable
     pts = offgrid_points(128, np.random.default_rng(1))
     assert_matches_dense(grid, stack, pts)
+    # without gradients only the value rows are evaluated, to the same bits
+    full, plain = ev(pts), ev(pts, gradients=False)
+    assert ev.value_rows.shape == (3, 128, 128)
+    assert not ev.value_rows.flags.writeable
+    assert set(plain) == {"G1", "G2", "weight"}
+    for key, vals in plain.items():
+        assert np.array_equal(vals, full[key])
 
 
 def test_offgrid_grid_kept_while_read_only_modes_live():
@@ -301,13 +311,62 @@ def test_offgrid_gradient_matches_dense_sum():
     grid = TorusGrid(64)
     rng = np.random.default_rng(8)
     f = rand_band_limited(grid, rng, kmax=20)
-    kx, ky = grid.deriv_freqs()
-    stack = np.stack([f.modes * (2j * np.pi * kx), f.modes * (2j * np.pi * ky)])
+    k = np.fft.fftfreq(64, d=1.0 / 64)
+    k[32] = 0.0                                   # Nyquist derivative is 0
+    stack = np.stack([f.modes * (2j * np.pi * k[:, None]),
+                      f.modes * (2j * np.pi * k[None, :])])
     pts = offgrid_points(64, rng)
     ref = dense_mode_sum(stack, pts).T
     got = eval_gradient_at(f, pts)
     assert got.shape == (pts.shape[0], 2)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_multiplier_table_shared_and_read_only():
+    grid = TorusGrid(32)
+    table = (grid.k2, grid.laplacian, grid.dirichlet) + grid.ik
+    before = [t.copy() for t in table]
+    assert grid.laplacian is table[1] and grid.ik[1] is table[4]
+    assert not any(t.flags.writeable for t in table)
+    with pytest.raises(ValueError):
+        grid.laplacian[0, 0] = 1.0
+    # the conventions: full |k|^2 in the Laplacian, Nyquist-zeroed
+    # derivatives and Dirichlet multiplier
+    k = np.fft.fftfreq(32, d=1.0 / 32)
+    assert np.array_equal(grid.k2, k[:, None] ** 2 + k[None, :] ** 2)
+    assert grid.laplacian[16, 3] == -4.0 * np.pi ** 2 * (16 ** 2 + 3 ** 2)
+    assert grid.dirichlet[16, 3] == 4.0 * np.pi ** 2 * 3 ** 2
+    assert grid.ik[0][16, 0] == 0.0 and grid.ik[1][0, 16] == 0.0
+    f = rand_band_limited(grid, np.random.default_rng(4))
+    u = solve_poisson0(laplacian0(f))
+    assert np.max(np.abs(u.values - f.values)) < 1e-12
+    gradient0(f)
+    dirichlet_form(f, u)
+    product_dealiased(f, u)
+    for t, b in zip(table, before):
+        assert np.array_equal(t, b)
+
+
+def _fft_references(tree):
+    """Line numbers of `<x>.fft` attributes and of fft imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            yield node.lineno
+        elif isinstance(node, ast.Import):
+            if any("fft" in a.name.split(".") for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if "fft" in (node.module or "").split(".") \
+                    or any(a.name == "fft" for a in node.names):
+                yield node.lineno
+
+
+def test_only_spectral_references_fft():
+    src = pathlib.Path(spectral.__file__).parent
+    found = {path.name: list(_fft_references(ast.parse(path.read_text())))
+             for path in sorted(src.glob("*.py"))}
+    assert found.pop("spectral.py")               # the guard sees its uses
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_offgrid_rejects_wrong_grid():
