@@ -74,8 +74,8 @@ class RunConfig:
         self.metric_kind = merged["metric.kind"]
         if self.metric_kind.startswith("file="):
             path = self.metric_kind[5:]
-            if not os.path.exists(path):
-                raise ConfigError(f"metric file not found: {path}")
+            if not os.path.isfile(path):
+                raise ConfigError(f"metric file {path!r} is not a regular file")
         elif self.metric_kind.startswith("cosine:"):
             _finite(self.metric_kind[len("cosine:"):], "cosine metric amplitude")
         elif self.metric_kind != "flat":
@@ -86,6 +86,8 @@ class RunConfig:
         self.masses = self._float_list("masses") if merged["masses"] else None
         self.points = self._points("points") if merged["points"] else []
         self.seed = self._int("seed")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         self.solver = SolverOptions(
             max_iter=self._int("solver.max_iter"),
             grad_tol=self._float("solver.grad_tol"),
@@ -96,7 +98,13 @@ class RunConfig:
         if self.solver.grad_tol <= 0.0:
             raise ConfigError(f"solver.grad_tol must be positive, got "
                               f"{self.solver.grad_tol}")
+        if self.solver.ceiling <= 0.0:
+            # a normalized state (integral e^u dV_g = 1) has max u >= 0
+            raise ConfigError(f"solver.ceiling must be positive, got "
+                              f"{self.solver.ceiling}")
         self.testfn_eps = self._float_list("testfn.eps_list")
+        if any(e <= 0.0 for e in self.testfn_eps):
+            raise ConfigError("testfn.eps_list values must be positive")
         if any(b >= a for a, b in zip(self.testfn_eps, self.testfn_eps[1:])):
             raise ConfigError("testfn.eps_list must be strictly decreasing")
         self.L_mode = merged["testfn.L_coupling"]
@@ -104,6 +112,9 @@ class RunConfig:
             raise ConfigError("testfn.L_coupling must be auto or fixed:<L>")
         self.L_fixed = (None if self.L_mode == "auto" else
                         _finite(self.L_mode[len("fixed:"):], "testfn.L_coupling"))
+        if self.L_fixed is not None and self.L_fixed <= 0.0:
+            raise ConfigError(f"testfn.L_coupling must be positive, got "
+                              f"{self.L_fixed}")
         self.sweep_eps = self._float_list("sweep.eps_list")
         self.out_dir = merged["output.dir"]
         self.fmt = merged["output.format"]
@@ -369,11 +380,9 @@ def cmd_testfn(cfg: RunConfig) -> int:
             payload["constant_alternate"] = rep.constant_alternate
     else:
         L = cfg.L_fixed
-        build = testfn.build_test_case1 if pair.case_tag == "one" \
-            else testfn.build_test_case2
         rows = []
         for eps in cfg.testfn_eps:
-            tf = build(pair, eps, L=L)
+            tf = testfn.build_test_pair(pair, eps, L=L)
             rows.append({"eps": eps, "L": L,
                          "phi0": testfn.evaluate_phi0(tf, metric)})
         payload = {**_report_header(cfg), "case": pair.case_tag,
@@ -388,8 +397,7 @@ def cmd_testfn(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     metric = cfg.metric()
-    opts = diagnostics.SweepOptions(solver=cfg.solver)
-    records = diagnostics.sweep(cfg.sweep_eps, metric, opts)
+    records = diagnostics.sweep(cfg.sweep_eps, metric, cfg.solver)
     payload = {**_report_header(cfg), "runs": [r.to_record() for r in records]}
     path = _write_report(cfg, "sweep", payload, rows_key="runs")
     classes = [r.classification for r in records]

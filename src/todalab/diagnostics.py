@@ -11,7 +11,7 @@ rescaled field is to the standard bubble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,14 @@ from .geometry import Metric
 from .spectral import ScalarField
 
 __all__ = [
-    "SweepOptions", "SweepRecord", "rescaled_profile_error", "sweep",
+    "SweepRecord", "rescaled_profile_error", "sweep",
 ]
 
 FOUR_PI = 4.0 * math.pi
+# classification thresholds
+GROW_DELTA = 2.0       # max increase over the last three runs
+SEPARATE_CELLS = 8.0   # peak separation threshold, in cells
+PROFILE_L = 5.0        # radius of the rescaled-profile comparison
 
 
 def rescaled_profile_error(u: ScalarField, center, m: float,
@@ -53,17 +57,6 @@ def rescaled_profile_error(u: ScalarField, center, m: float,
     vals = spectral.eval_at(u, pts)
     ref = np.concatenate([[0.0], bubble_profile_r(rr.ravel())])
     return float(np.max(np.abs(vals - m - ref)))
-
-
-@dataclass(frozen=True)
-class SweepOptions:
-    """Knobs for the sweep driver; thresholds are in the units stated."""
-
-    solver: SolverOptions = dc_field(default_factory=SolverOptions)
-    warm_start: bool = True
-    grow_delta: float = 2.0      # max increase over the last three runs
-    separate_cells: float = 8.0  # peak separation threshold, in cells
-    profile_L: float = 5.0
 
 
 @dataclass
@@ -116,29 +109,28 @@ def _grew(maxima_hist: list, which: int, delta: float) -> bool:
     return window[-1] - window[0] > delta
 
 
-def _classify(maxima_hist, record: SweepRecord, opts: SweepOptions,
-              h: float) -> str:
+def _classify(maxima_hist, record: SweepRecord, h: float) -> str:
     if record.report is None:
         return "undetermined"
-    grew1 = _grew(maxima_hist, 0, opts.grow_delta)
-    grew2 = _grew(maxima_hist, 1, opts.grow_delta)
+    grew1 = _grew(maxima_hist, 0, GROW_DELTA)
+    grew2 = _grew(maxima_hist, 1, GROW_DELTA)
     if not grew1 and not grew2:
         return "undetermined" if record.report.blown_up else "converged"
     if grew1 and grew2:
         sep = _torus_dist(record.max_locations[0], record.max_locations[1])
-        return "case1-like" if sep > opts.separate_cells * h else "undetermined"
+        return "case1-like" if sep > SEPARATE_CELLS * h else "undetermined"
     return "case2-like"
 
 
-def sweep(eps_list, metric: Metric, opts: SweepOptions | None = None
+def sweep(eps_list, metric: Metric, solver: SolverOptions | None = None
           ) -> list[SweepRecord]:
-    """Minimize over a decreasing eps list, warm-starting each run.
+    """Minimize over a decreasing eps list, warm-starting each run from
+    the last successful one.
 
     Solver failures are recorded in their entry and the sweep moves on;
     classification looks at growth of the field maxima over the last
     three runs and at whether the two peaks separate.
     """
-    opts = opts or SweepOptions()
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ConfigError("empty eps list")
@@ -153,10 +145,9 @@ def sweep(eps_list, metric: Metric, opts: SweepOptions | None = None
     maxima_hist: list[list[float]] = []
     state = _zero_state(grid, eps_list[0])
     for eps in eps_list:
-        init = state if opts.warm_start else _zero_state(grid, eps)
-        init = TodaState(u=init.u, masses=(FOUR_PI - eps, FOUR_PI - eps))
+        init = TodaState(u=state.u, masses=(FOUR_PI - eps, FOUR_PI - eps))
         try:
-            final, report = minimize_phi_eps(init, eps, metric, opts.solver)
+            final, report = minimize_phi_eps(init, eps, metric, solver)
         except SolverError as exc:
             rec = SweepRecord(eps=eps, report=None, r=[],
                               max_locations=[], profile_error=None,
@@ -164,8 +155,7 @@ def sweep(eps_list, metric: Metric, opts: SweepOptions | None = None
                               classification="undetermined", error=str(exc))
             records.append(rec)
             continue
-        if opts.warm_start:
-            state = final
+        state = final
         locs = [_argmax_location(f) for f in final.u]
         rvals = [math.exp(-m / 2.0) for m in report.maxima]
         lead = int(np.argmax(report.maxima))
@@ -173,8 +163,7 @@ def sweep(eps_list, metric: Metric, opts: SweepOptions | None = None
         perr, resolved = None, False
         try:
             perr = rescaled_profile_error(final.u[lead], locs[lead], m_lead,
-                                          math.exp(-m_lead / 2.0),
-                                          opts.profile_L)
+                                          math.exp(-m_lead / 2.0), PROFILE_L)
             resolved = True
         except ResolutionError:
             pass
@@ -182,7 +171,7 @@ def sweep(eps_list, metric: Metric, opts: SweepOptions | None = None
                           max_locations=locs, profile_error=perr,
                           profile_resolved=resolved, classification="")
         maxima_hist.append(list(report.maxima))
-        rec.classification = _classify(maxima_hist, rec, opts, h)
+        rec.classification = _classify(maxima_hist, rec, h)
         records.append(rec)
     return records
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import spectral
 from .errors import ConfigError, GridMismatchError, SolverError
 from .geometry import Metric
-from .spectral import ScalarField
+from .spectral import ScalarField, TorusGrid
 
 __all__ = [
     "CartanMatrix", "TodaState", "DescentReport", "SolverOptions",

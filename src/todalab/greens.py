@@ -234,34 +234,31 @@ class SingularField:
         """Raw grid values (+inf at grid-aligned singular points); computed
         once per field and returned read-only."""
         if self._grid_values is None:
-            X, Y = self.grid.mesh()
-            pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-            out = self.band.values.ravel() + self.const + self.image_values(pts)
+            out = (self.band.values.ravel() + self.const
+                   + self.image_values(self.grid.points()))
             self._grid_values = out.reshape(self.grid.n, self.grid.n)
             self._grid_values.flags.writeable = False
         return self._grid_values
 
     def grid_regular_values(self) -> np.ndarray:
         """Grid values of the field minus every nearest-image log term."""
-        X, Y = self.grid.mesh()
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+        pts = self.grid.points()
         out = self.band.values.ravel() + self.const
         for p, s in zip(self.points, self.strengths):
             out = out + s * _image_sum_regular(pts, p, self.eta)
         return out.reshape(self.grid.n, self.grid.n)
 
-    def singular_exp_values(self, scale_check: float = -4.0 * math.pi) -> np.ndarray:
+    def singular_exp_values(self) -> np.ndarray:
         """Grid values of exp(sum_i s_i V_i), stable when all s_i = -4 pi.
 
         Only the strength -4 pi (log coefficient +2) is supported: then
         exp(-V) is the entire function exp(-E1) and the product vanishes
         quadratically at the singular point instead of overflowing.
         """
-        X, Y = self.grid.mesh()
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+        pts = self.grid.points()
         out = np.ones(pts.shape[0])
         for p, s in zip(self.points, self.strengths):
-            if abs(s - scale_check) > 1e-12:
+            if abs(s + 4.0 * math.pi) > 1e-12:
                 raise ConfigError("stable exponential needs strength -4 pi")
             d = spectral.wrap_offset(pts - p)
             r2 = ((d[:, None, :] + _IMAGE_OFFSETS[None, :, :]) ** 2).sum(axis=2)
@@ -476,10 +473,8 @@ def green_pair_case2(p, metric: Metric, opts: SolverOptions | None = None,
                       project, grad_norm_of, ceiling_of, opts)
     if not raw.converged:
         # second documented start: -s with the log singularity clipped
-        X, Y = grid.mesh()
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
         s_reg = s_sing.grid_regular_values()
-        d = spectral.wrap_offset(pts - p)
+        d = spectral.wrap_offset(grid.points() - p)
         r_near = np.sqrt((d ** 2).sum(axis=1)).reshape(grid.n, grid.n)
         v0 = -(s_reg + 2.0 * np.log(np.maximum(r_near, 4.0 * grid.h)))
         v0 = spectral.to_values(spectral.to_modes(v0) * np.exp(

@@ -65,6 +65,11 @@ class TorusGrid:
         x = self.axis()
         return np.meshgrid(x, x, indexing="ij")
 
+    def points(self) -> np.ndarray:
+        """The n^2 grid nodes as an (n^2, 2) array, in mesh() order."""
+        X, Y = self.mesh()
+        return np.stack([X.ravel(), Y.ravel()], axis=1)
+
     def freqs(self) -> tuple[np.ndarray, np.ndarray]:
         """Integer frequencies as broadcastable (n,1) and (1,n) arrays."""
         k = np.fft.fftfreq(self.n, d=1.0 / self.n)

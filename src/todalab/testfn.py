@@ -48,7 +48,7 @@ from .spectral import ScalarField
 __all__ = [
     "TestFunctionPair", "DeficitData", "FitReport",
     "coupling_L", "smoothstep", "smoothstep_deriv",
-    "build_test_case1", "build_test_case2",
+    "build_test_pair",
     "evaluate_phi0", "phi0_breakdown", "field_on_grid",
     "deficit_data", "asymptotic_fit_case1", "asymptotic_fit_case2",
     "DEFAULT_EPS_LIST",
@@ -112,16 +112,17 @@ class TestFunctionPair:
     def log_one_plus_piL2(self) -> float:
         return math.log1p(math.pi * self.L * self.L)
 
-    def disc_radius(self, i: int) -> float:
-        """Chart radius of the bubble disc at point i."""
-        return self.L * self.eps / self.scales[i]
-
-    def band_radius(self, i: int) -> float:
-        return 2.0 * self.L * self.eps / self.scales[i]
-
     def tilt(self, k: int, i: int):
         e = self.expansions[(k, i)]
         return e.lam, e.mu
+
+    def disc_profile(self, k: int, i: int, rho: np.ndarray) -> np.ndarray:
+        """Field k's bubble, or minus half of one, in the disc at point i
+        at normalized radii rho (without the tilt and disc_const)."""
+        w = _bubble(rho / self.eps)
+        if self.half[(k, i)]:
+            return -(w + 2.0 * self.log_one_plus_piL2) / 2.0
+        return w
 
     def eval_field(self, which: int, pts: np.ndarray) -> np.ndarray:
         """Pointwise values of field `which` (reference path, not the
@@ -147,12 +148,7 @@ class TestFunctionPair:
                 out[in_band] -= smoothstep(rb, le, 2.0 * le) * h
             if np.any(in_disc):
                 zd = z[in_disc]
-                rd = rho[in_disc]
-                w = _bubble(rd / self.eps)
-                if self.half[(which, i)]:
-                    base = -(w + 2.0 * self.log_one_plus_piL2) / 2.0
-                else:
-                    base = w
+                base = self.disc_profile(which, i, rho[in_disc])
                 out[in_disc] = (base + e.lam * zd[:, 0] + e.mu * zd[:, 1]
                                 + self.disc_const[(which, i)])
         return out
@@ -170,76 +166,53 @@ def _check_scale(tf_eps: float, L: float) -> None:
             f"L*eps = {L * tf_eps:.3f} too large; need L*eps < 1/8")
 
 
-def _local_scales(pair: GreenPair, metric: Metric) -> list:
-    out = []
-    for p in pair.points:
-        if metric.is_flat:
-            out.append(1.0)
-        else:
-            phi_p = float(spectral.eval_at(metric.phi, np.asarray(p)[None, :])[0])
-            out.append(math.exp(phi_p / 2.0))
-    return out
+def build_test_pair(pair: GreenPair, eps: float,
+                    L: float | None = None) -> TestFunctionPair:
+    """Test pair at scale eps with truncation L (coupling_L(eps) if None).
 
-
-def build_test_case1(pair: GreenPair, eps: float,
-                     L: float | None = None) -> TestFunctionPair:
-    """Two-point test pair: field k bubbles at point k-1, carries minus
-    half a bubble at the other point."""
-    if pair.case_tag != "one":
-        raise ConfigError("build_test_case1 needs a two-point pair")
-    metric = pair.metric
+    Two-point pair: field k bubbles at point k-1 and carries minus half a
+    bubble at the other point.  One-point pair: the first field bubbles
+    at p; the second carries the half-bubble there and equals G_2 outside
+    (no additive constant).  Each point's chart scale exp(phi(p)/2) is
+    the one its expansions were taken in.
+    """
+    if not eps > 0.0:
+        raise ConfigError(f"eps must be positive, got {eps}")
     if L is None:
         L = coupling_L(eps)
-    sep = float(np.linalg.norm(spectral.wrap_offset(
-        np.asarray(pair.points[1])[None, :] - np.asarray(pair.points[0]))))
-    if L * eps >= sep / 4.0:
-        raise GeometryError(
-            f"window radius L*eps = {L * eps:.4f} overlaps the other "
-            f"point (separation {sep:.4f}); need L*eps < separation/4")
+    elif not L > 0.0:
+        raise ConfigError(f"L must be positive, got {L}")
+    if pair.case_tag == "one":
+        sep = float(np.linalg.norm(spectral.wrap_offset(
+            np.asarray(pair.points[1])[None, :] - np.asarray(pair.points[0]))))
+        if L * eps >= sep / 4.0:
+            raise GeometryError(
+                f"window radius L*eps = {L * eps:.4f} overlaps the other "
+                f"point (separation {sep:.4f}); need L*eps < separation/4")
     _check_scale(eps, L)
     _require_expansions(pair)
     le = L * eps
     l1p = math.log1p(math.pi * L * L)
-    half, disc_const, outer_const = {}, {}, {}
-    for k, own in ((1, 0), (2, 1)):
-        other = 1 - own
-        a_own = pair.expansions[(k, own)].A
-        a_oth = pair.expansions[(k, other)].A
-        outer_const[k] = 4.0 * math.log(le) - 2.0 * l1p - a_own
-        half[(k, own)] = False
-        disc_const[(k, own)] = 0.0
-        half[(k, other)] = True
-        disc_const[(k, other)] = 6.0 * math.log(le) - 2.0 * l1p + a_oth - a_own
+    A = {key: e.A for key, e in pair.expansions.items()}
+    if pair.case_tag == "one":
+        half, disc_const, outer_const = {}, {}, {}
+        for k, own in ((1, 0), (2, 1)):
+            other = 1 - own
+            outer_const[k] = 4.0 * math.log(le) - 2.0 * l1p - A[(k, own)]
+            half[(k, own)] = False
+            disc_const[(k, own)] = 0.0
+            half[(k, other)] = True
+            disc_const[(k, other)] = (6.0 * math.log(le) - 2.0 * l1p
+                                      + A[(k, other)] - A[(k, own)])
+    else:
+        half = {(1, 0): False, (2, 0): True}
+        disc_const = {(1, 0): 0.0, (2, 0): 2.0 * math.log(le) + A[(2, 0)]}
+        outer_const = {1: 4.0 * math.log(le) - 2.0 * l1p - A[(1, 0)], 2: 0.0}
     return TestFunctionPair(
-        case_tag="one", pair=pair, metric=metric, eps=eps, L=L,
+        case_tag=pair.case_tag, pair=pair, metric=pair.metric, eps=eps, L=L,
         points=[np.asarray(p, dtype=float) for p in pair.points],
-        scales=_local_scales(pair, metric),
-        expansions=dict(pair.expansions), half=half,
-        disc_const=disc_const, outer_const=outer_const)
-
-
-def build_test_case2(pair: GreenPair, eps: float,
-                     L: float | None = None) -> TestFunctionPair:
-    """One-point test pair: first field bubbles at p, second carries the
-    half-bubble there and equals G_2 outside (no additive constant)."""
-    if pair.case_tag != "two":
-        raise ConfigError("build_test_case2 needs a one-point pair")
-    metric = pair.metric
-    if L is None:
-        L = coupling_L(eps)
-    _check_scale(eps, L)
-    _require_expansions(pair)
-    le = L * eps
-    l1p = math.log1p(math.pi * L * L)
-    a1 = pair.expansions[(1, 0)].A
-    a2 = pair.expansions[(2, 0)].A
-    half = {(1, 0): False, (2, 0): True}
-    disc_const = {(1, 0): 0.0, (2, 0): 2.0 * math.log(le) + a2}
-    outer_const = {1: 4.0 * math.log(le) - 2.0 * l1p - a1, 2: 0.0}
-    return TestFunctionPair(
-        case_tag="two", pair=pair, metric=metric, eps=eps, L=L,
-        points=[np.asarray(p, dtype=float) for p in pair.points],
-        scales=_local_scales(pair, metric),
+        scales=[pair.expansions[(1, i)].scale
+                for i in range(len(pair.points))],
         expansions=dict(pair.expansions), half=half,
         disc_const=disc_const, outer_const=outer_const)
 
@@ -247,9 +220,7 @@ def build_test_case2(pair: GreenPair, eps: float,
 def field_on_grid(tf: TestFunctionPair, which: int) -> ScalarField:
     """Sample a test field on the metric's grid (for grid-based checks)."""
     grid = tf.metric.grid
-    X, Y = grid.mesh()
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    vals = tf.eval_field(which, pts)
+    vals = tf.eval_field(which, grid.points())
     return ScalarField(grid, vals.reshape(grid.n, grid.n))
 
 
@@ -335,20 +306,13 @@ def _bubble_area_integral(L: float) -> float:
     return -2.0 * ((1.0 + t) * math.log1p(t) - t)
 
 
-def _quadratic_masses(tf: TestFunctionPair) -> dict:
-    """pi*Mtilde per (field, own point): quadratic angular average of the
-    tilt-plus-metric exponent driving the disc exponential corrections."""
-    out = {}
-    for k in (1, 2):
-        for i in range(len(tf.points)):
-            if tf.half[(k, i)]:
-                continue
-            me = metric_expansion_at(tf.metric, tf.points[i])
-            lam, mu = tf.tilt(k, i)
-            b = ((me.b1 + lam) ** 2 + (me.b2 + mu) ** 2) / 4.0
-            kc = me.curvature
-            out[(k, i)] = -kc / 2.0 + b
-    return out
+def _tilt_mass(metric: Metric, point, e: LocalExpansion) -> tuple:
+    """(B, -K/2 + B) at a pole: B is the quadratic mass of the field's
+    tilt plus the metric gradient there, K the curvature; -K/2 + B drives
+    the disc exponential corrections and the deficit coefficient."""
+    me = metric_expansion_at(metric, point)
+    b = ((me.b1 + e.lam) ** 2 + (me.b2 + e.mu) ** 2) / 4.0
+    return b, -me.curvature / 2.0 + b
 
 
 class _Phi0Evaluator:
@@ -366,7 +330,11 @@ class _Phi0Evaluator:
         self.ev = _StackEval(tf)
         self.le = tf.L * tf.eps
         self.l1p = tf.log_one_plus_piL2
+        # chart radii per point: bubble disc, stitch circle, outer cutoff knot
+        self.r_disc = [self.le / c for c in tf.scales]
+        self.r_st = [stitch * self.le / c for c in tf.scales]
         self.delta_cut = self._outer_radius()
+        self.a_chi = [max(r, 0.6 * self.delta_cut) for r in self.r_st]
         self.pieces: dict[str, float] = {}
 
     def _outer_radius(self) -> float:
@@ -377,79 +345,76 @@ class _Phi0Evaluator:
             cap = 0.4 * sep
         else:
             cap = 0.25
-        r_min = max(self.stitch * self.le / min(tf.scales), 0.05)
+        r_min = max(max(self.r_st), 0.05)
         delta = max(min(0.2, cap), 1.25 * r_min)
         if delta > min(0.45, 2.0 * cap):
             raise ConfigError("scales too large to separate the regions")
         return delta
 
-    # -- polar node families ------------------------------------------------
+    # -- polar quadrature ---------------------------------------------------
 
-    def _point_family(self, i: int):
-        """Radial nodes covering [0, stitch*L*eps/c] with the disc edge and
-        the band edges as panel boundaries; assembled once, refined by
-        doubling the band panels until the Dirichlet block stabilizes."""
-        tf = self.tf
-        c = tf.scales[i]
-        r_disc = self.le / c
-        r_band = 2.0 * self.le / c
-        r_st = self.stitch * self.le / c
-        fams = []
-        for doubling in range(6):
-            smooth_panels = 2 * 2 ** min(doubling, 1)
-            band_panels = 4 * 2 ** doubling
-            edges = [np.linspace(0.0, r_disc, smooth_panels + 1),
-                     np.linspace(r_disc, r_band, band_panels + 1)]
-            if r_st > r_band * (1.0 + 1e-12):
-                edges.append(np.linspace(r_band, r_st, 2 + 1))
-            r_nodes, r_w = [], []
-            for e in edges:
-                nodes, w = _panel_nodes(np.asarray(e), 12)
-                r_nodes.append(nodes)
-                r_w.append(w)
-            fams.append((np.concatenate(r_nodes), np.concatenate(r_w)))
-        return fams
-
-    def _polar_eval(self, i: int, r_nodes: np.ndarray):
-        tf = self.tf
-        p = tf.points[i]
-        th = (np.arange(self.theta) + 0.5) * (2.0 * math.pi / self.theta)
+    def _polar(self, i: int, r_nodes: np.ndarray, nth: int,
+               gradients: bool = True) -> dict:
+        """Fields on the circles of radii r_nodes around point i, at nth
+        midpoint angles each: arrays shaped (radii, angles[, 2]), plus the
+        angles' cosines "ct" and sines "st"."""
+        p = self.tf.points[i]
+        th = (np.arange(nth) + 0.5) * (2.0 * math.pi / nth)
         ct, st = np.cos(th), np.sin(th)
-        pts = np.empty((r_nodes.size * self.theta, 2))
+        pts = np.empty((r_nodes.size * nth, 2))
         pts[:, 0] = (p[0] + np.outer(r_nodes, ct)).ravel()
         pts[:, 1] = (p[1] + np.outer(r_nodes, st)).ravel()
-        data = self.ev(pts)
-        sh = (r_nodes.size, self.theta)
+        data = self.ev(pts, gradients)
+        sh = (r_nodes.size, nth)
         out = {k: v.reshape(sh + v.shape[1:]) for k, v in data.items()}
         out["ct"], out["st"] = ct, st
         return out
 
-    # -- per-point region integrals ----------------------------------------
-
-    def _point_block(self, i: int) -> dict:
-        """All annulus/disc integrals attached to point i, adaptively
-        refined in the radial direction."""
-        prev = None
-        fams = self._point_family(i)
-        for level, (r_nodes, r_w) in enumerate(fams):
-            vals = self._point_block_on(i, r_nodes, r_w)
+    def _refined(self, levels, what: str) -> dict:
+        """The first of a sequence of ever finer blocks that agrees with
+        the one before to tol (relative to max(1, largest entry))."""
+        older = prev = None
+        for vals in levels:
             if prev is not None:
                 scale = max(1.0, max(abs(v) for v in vals.values()))
                 err = max(abs(vals[key] - prev[key]) for key in vals)
                 if err <= self.tol * scale:
                     return vals
-            prev = vals
-        raise AccuracyError(
-            f"polar quadrature at point {i} did not converge; "
-            f"last two blocks: {prev} / {vals}")
+            older, prev = prev, vals
+        raise AccuracyError(f"{what} did not converge; the last two levels "
+                            f"give {older} / {prev}")
+
+    # -- per-point region integrals ----------------------------------------
+
+    def _point_block(self, i: int) -> dict:
+        """All annulus/disc integrals attached to point i, on radial nodes
+        covering [0, r_st] with the disc edge and the band edges as panel
+        boundaries, refined by doubling the band panels until they
+        stabilize."""
+        r_disc, r_st = self.r_disc[i], self.r_st[i]
+        r_band = 2.0 * r_disc
+
+        def levels():
+            for doubling in range(6):
+                smooth_panels = 2 * 2 ** min(doubling, 1)
+                band_panels = 4 * 2 ** doubling
+                edges = [np.linspace(0.0, r_disc, smooth_panels + 1),
+                         np.linspace(r_disc, r_band, band_panels + 1)]
+                if r_st > r_band * (1.0 + 1e-12):
+                    edges.append(np.linspace(r_band, r_st, 2 + 1))
+                nodes = [_panel_nodes(e, 12) for e in edges]
+                yield self._point_block_on(
+                    i, np.concatenate([r for r, _ in nodes]),
+                    np.concatenate([w for _, w in nodes]))
+
+        return self._refined(levels(), f"polar quadrature at point {i}")
 
     def _point_block_on(self, i: int, r_nodes: np.ndarray,
                         r_w: np.ndarray) -> dict:
         tf = self.tf
         c = tf.scales[i]
         le = self.le
-        r_disc = le / c
-        data = self._polar_eval(i, r_nodes)
+        data = self._polar(i, r_nodes, self.theta)
         th_w = 2.0 * math.pi / self.theta
         rho = c * r_nodes                       # normalized radius
         eta = smoothstep(rho, le, 2.0 * le)
@@ -523,18 +488,15 @@ class _Phi0Evaluator:
     # -- flux circles -------------------------------------------------------
 
     def _flux_block(self, i: int) -> dict:
-        tf = self.tf
-        p = tf.points[i]
-        r_st = self.stitch * self.le / tf.scales[i]
+        r_st = self.r_st[i]
         nth = 256
-        th = (np.arange(nth) + 0.5) * (2.0 * math.pi / nth)
-        ct, st = np.cos(th), np.sin(th)
-        pts = np.stack([p[0] + r_st * ct, p[1] + r_st * st], axis=1)
-        data = self.ev(pts)
+        data = self._polar(i, np.array([r_st]), nth)
+        ct, st = data["ct"], data["st"]
         out = {}
         for k, m in ((1, 1), (2, 2), (1, 2), (2, 1)):
-            gk = data[f"G{k}"]
-            dm = data[f"dG{m}"][:, 0] * ct + data[f"dG{m}"][:, 1] * st
+            gk = data[f"G{k}"][0]
+            dgm = data[f"dG{m}"][0]
+            dm = dgm[:, 0] * ct + dgm[:, 1] * st
             out[f"flux_{k}{m}"] = float(
                 -r_st * np.sum(gk * dm) * (2.0 * math.pi / nth))
         return out
@@ -546,37 +508,28 @@ class _Phi0Evaluator:
         field's own blow-up point, scaled by eps^-2 (without e^{C_k}).
 
         Dyadic panels from r_st, with the cutoff's C^2 knot a_chi as one
-        more edge so that every panel's integrand is smooth."""
-        tf = self.tf
-        p = tf.points[i]
-        c = tf.scales[i]
-        r_st = self.stitch * self.le / c
-        a_chi = max(r_st, 0.6 * self.delta_cut)
-        edges = [r_st]
+        more edge so that every panel's integrand is smooth; Gauss orders
+        16 and 24 on them must agree."""
+        a_chi = self.a_chi[i]
+        edges = [self.r_st[i]]
         while edges[-1] < self.delta_cut:
             edges.append(min(edges[-1] * 2.0, self.delta_cut))
         edges = np.union1d(edges, [a_chi])
-        prev = None
-        for order in (16, 24):
-            r_nodes, r_w = _panel_nodes(edges, order)
-            nth = 64
-            th = (np.arange(nth) + 0.5) * (2.0 * math.pi / nth)
-            pts = np.empty((r_nodes.size * nth, 2))
-            pts[:, 0] = (p[0] + np.outer(r_nodes, np.cos(th))).ravel()
-            pts[:, 1] = (p[1] + np.outer(r_nodes, np.sin(th))).ravel()
-            data = self.ev(pts, gradients=False)
-            gk = data[f"G{k}"].reshape(r_nodes.size, nth)
-            wgt = data["weight"].reshape(r_nodes.size, nth)
-            chi = smoothstep(r_nodes, a_chi, self.delta_cut)  # 1 -> 0 shape
-            ring = float(np.sum(
-                chi[:, None] * np.exp(gk - 2.0 * math.log(self.tf.eps))
-                * wgt * (r_nodes * r_w)[:, None]) * (2.0 * math.pi / nth))
-            if prev is not None and abs(ring - prev) <= self.tol * max(1.0, abs(ring)):
-                return ring
-            prev = ring
-        raise AccuracyError(
-            f"ring quadrature of G{k} at point {i} did not converge; "
-            f"orders 16 / 24 give {prev} / {ring}")
+        nth = 64
+
+        def levels():
+            for order in (16, 24):
+                r_nodes, r_w = _panel_nodes(edges, order)
+                data = self._polar(i, r_nodes, nth, gradients=False)
+                chi = smoothstep(r_nodes, a_chi, self.delta_cut)  # 1 -> 0
+                yield {"ring": float(np.sum(
+                    chi[:, None] * np.exp(data[f"G{k}"]
+                                          - 2.0 * math.log(self.tf.eps))
+                    * data["weight"] * (r_nodes * r_w)[:, None])
+                    * (2.0 * math.pi / nth))}
+
+        return self._refined(levels(), f"ring quadrature of G{k} at point "
+                             f"{i} (orders 16, 24)")["ring"]
 
     def _grid_exp(self, k: int, i: int) -> float:
         """Masked grid sum of e^{G_k} dV_g outside the dyadic ring, scaled
@@ -588,8 +541,7 @@ class _Phi0Evaluator:
         p = tf.points[i]
         r = np.sqrt(spectral.wrap_offset(X - p[0]) ** 2
                     + spectral.wrap_offset(Y - p[1]) ** 2)
-        a_chi = max(self.stitch * self.le / tf.scales[i], 0.6 * self.delta_cut)
-        chi = 1.0 - smoothstep(r, a_chi, self.delta_cut)  # 0 near p, 1 far
+        chi = 1.0 - smoothstep(r, self.a_chi[i], self.delta_cut)  # 0 near p
         mask = chi > 0.0
         expv = np.zeros_like(gvals)
         expv[mask] = np.exp(gvals[mask] - 2.0 * math.log(tf.eps))
@@ -605,7 +557,8 @@ class _Phi0Evaluator:
         pieces = self.pieces
         E_L = bubble_dirichlet_energy(L)
         W_L = _bubble_area_integral(L)
-        qmass = _quadratic_masses(tf)
+        qmass = {key: _tilt_mass(tf.metric, tf.points[key[1]], e)[1]
+                 for key, e in tf.expansions.items() if not tf.half[key]}
         npts = len(tf.points)
 
         blocks = [self._point_block(i) for i in range(npts)]
@@ -640,7 +593,7 @@ class _Phi0Evaluator:
             corr = 0.0
             for i in range(npts):
                 c = tf.scales[i]
-                r_disc = le / c
+                r_disc = self.r_disc[i]
                 e = tf.expansions[(k, i)]
                 area_flat = math.pi * r_disc * r_disc
                 # bubble branch minus (G_k + C_k), log part in closed form
@@ -716,7 +669,7 @@ class _Phi0Evaluator:
         for i in range(len(tf.points)):
             e = tf.expansions[(k, i)]
             c = tf.scales[i]
-            r_st = self.stitch * self.le / c
+            r_st = self.r_st[i]
             area = math.pi * r_st * r_st
             disc_gk.append(e.a * (_log_disc_integral(r_st)
                                   + math.log(c) * area)
@@ -740,29 +693,17 @@ class _Phi0Evaluator:
         above integrate against dx; this adds the (e^phi - 1)-weighted
         parts of the explicit branch pieces by dyadic polar quadrature."""
         tf = self.tf
-        p = tf.points[i]
-        c = tf.scales[i]
-        r_disc = self.le / c
+        r_disc = self.r_disc[i]
         edges = [r_disc]
         floor = r_disc * max(tf.eps / self.le * 1e-3, 1e-12)
         while edges[-1] > floor:
             edges.append(edges[-1] / 2.0)
         r_nodes, r_w = _panel_nodes(np.asarray(edges[::-1]), 10)
         nth = 32
-        th = (np.arange(nth) + 0.5) * (2.0 * math.pi / nth)
-        pts = np.empty((r_nodes.size * nth, 2))
-        pts[:, 0] = (p[0] + np.outer(r_nodes, np.cos(th))).ravel()
-        pts[:, 1] = (p[1] + np.outer(r_nodes, np.sin(th))).ravel()
-        wgt = self.ev(pts, gradients=False)["weight"].reshape(r_nodes.size, nth)
-        rho = c * r_nodes
-        e = tf.expansions[(k, i)]
-        w = _bubble(rho / tf.eps)
-        if tf.half[(k, i)]:
-            base = -0.5 * (w + 2.0 * self.l1p)
-        else:
-            base = w
-        branch = (base + tf.disc_const[(k, i)]
-                  - tf.outer_const[k] - e.a * np.log(rho))
+        wgt = self._polar(i, r_nodes, nth, gradients=False)["weight"]
+        rho = tf.scales[i] * r_nodes
+        branch = (tf.disc_profile(k, i, rho) + tf.disc_const[(k, i)]
+                  - tf.outer_const[k] - tf.expansions[(k, i)].a * np.log(rho))
         integrand = branch[:, None] * (wgt - 1.0)
         th_w = 2.0 * math.pi / nth
         return float(np.sum(integrand * (r_nodes * r_w)[:, None]) * th_w)
@@ -801,12 +742,9 @@ def deficit_data(pair: GreenPair, metric: Metric) -> DeficitData:
     _require_expansions(pair)
     bvals, mvals = {}, {}
     for k, i in ([(1, 0), (2, 1)] if pair.case_tag == "one" else [(1, 0), (2, 0)]):
-        e = pair.expansions[(k, i)]
-        me = metric_expansion_at(metric, pair.points[i])
-        b = ((me.b1 + e.lam) ** 2 + (me.b2 + e.mu) ** 2) / 4.0
-        m = (me.curvature / -2.0 + b) / math.pi
+        b, qm = _tilt_mass(metric, pair.points[i], pair.expansions[(k, i)])
         bvals[k] = b
-        mvals[k] = m
+        mvals[k] = qm / math.pi
     if pair.case_tag == "one":
         coeff = FOUR_PI * (mvals[1] + mvals[2] + 2.0)
     else:
@@ -849,7 +787,7 @@ def _check_eps_list(eps_list) -> list:
     return eps_list
 
 
-def _run_fit(pair: GreenPair, metric: Metric, eps_list, builder,
+def _run_fit(pair: GreenPair, metric: Metric, eps_list,
              constant: float) -> tuple:
     """Evaluate the functional along eps_list and fit the deficit slope.
 
@@ -875,7 +813,7 @@ def _run_fit(pair: GreenPair, metric: Metric, eps_list, builder,
     """
     rows = []
     for eps in eps_list:
-        tf = builder(pair, eps)
+        tf = build_test_pair(pair, eps)
         val = evaluate_phi0(tf, metric)
         g = eps * eps * (-math.log(eps * eps))
         rows.append({"eps": eps, "L": tf.L, "phi0": val,
@@ -901,8 +839,7 @@ def asymptotic_fit_case1(pair: GreenPair, metric: Metric,
     const = lower_bound_case1(pair.expansions[(1, 0)].A,
                               pair.expansions[(2, 1)].A)
     dd = deficit_data(pair, metric)
-    rows, slope, stderr = _run_fit(pair, metric, eps_list, build_test_case1,
-                                   const)
+    rows, slope, stderr = _run_fit(pair, metric, eps_list, const)
     return FitReport(case_tag="one", constant_used=const, rows=rows,
                      fitted_slope=slope, slope_stderr=stderr,
                      target_slope=-dd.coeff)
@@ -920,8 +857,7 @@ def asymptotic_fit_case2(pair: GreenPair, metric: Metric,
     const = lower_bound_case2(pair.expansions[(1, 0)].A, pair.mean_G2)
     alt = case2_closing_constant(pair.mean_G2)
     dd = deficit_data(pair, metric)
-    rows, slope, stderr = _run_fit(pair, metric, eps_list, build_test_case2,
-                                   const)
+    rows, slope, stderr = _run_fit(pair, metric, eps_list, const)
     return FitReport(case_tag="two", constant_used=const, rows=rows,
                      fitted_slope=slope, slope_stderr=stderr,
                      target_slope=-dd.coeff, constant_alternate=alt)

@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from todalab.cli import RunConfig, main, parse_config
+from todalab.cli import _DEFAULTS, RunConfig, main, parse_config
 from todalab.errors import ConfigError
 from todalab.spectral import load_field_values
 
@@ -75,14 +78,66 @@ def test_bad_eps_list_exits_64(tmp_path, capsys):
     "solver.grad_tol = 0\n",
     "metric.kind = cosine:nan\n",
     "testfn.L_coupling = fixed:abc\n",
+    "seed = -1\n",
+    "testfn.L_coupling = fixed:-5\n",
+    "testfn.L_coupling = fixed:0\n",
+    "testfn.L_coupling = fixed:2.0\ntestfn.eps_list = 1e-2,-1e-3\n",
+    "metric.kind = file=TMPDIR\n",
+    "solver.ceiling = -1\n",
+    "solver.ceiling = 0\n",
 ])
 def test_bad_values_exit_64_with_one_line(tmp_path, capsys, text):
+    text = text.replace("TMPDIR", str(tmp_path))     # a directory
     path = write_config(tmp_path, "grid.n = 64\neps = 0.5\n" + text)
     assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 64
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "solve.json").exists()
+
+
+_NUMBER = st.one_of(st.integers().map(str), st.floats().map(repr))
+_NUMBER_LIST = st.lists(_NUMBER, min_size=1, max_size=4).map(",".join)
+# values shaped like each key's own, so that some examples get past parsing
+_TYPED = {
+    "metric.kind": st.one_of(
+        st.sampled_from([__file__, os.path.dirname(__file__),
+                         "/no/such/file", "a\x00b"]).map("file={}".format),
+        _NUMBER.map("cosine:{}".format)),
+    "testfn.L_coupling": st.one_of(st.just("auto"),
+                                   _NUMBER.map("fixed:{}".format)),
+    "points": st.lists(st.tuples(_NUMBER, _NUMBER).map(",".join),
+                       max_size=2).map(";".join),
+    "masses": _NUMBER_LIST,
+    "testfn.eps_list": _NUMBER_LIST,
+    "sweep.eps_list": _NUMBER_LIST,
+    "output.format": st.sampled_from(["json", "csv", "xml"]),
+}
+_ENTRIES = st.lists(st.sampled_from(sorted(_DEFAULTS)), unique=True,
+                    max_size=3).flatmap(lambda keys: st.fixed_dictionaries({
+                        k: st.one_of(st.text(max_size=20),
+                                     _TYPED.get(k, _NUMBER)) for k in keys}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENTRIES)
+@example({"metric.kind": "file=" + os.path.dirname(__file__)})
+def test_config_text_parses_or_fails_cleanly(entries):
+    # every value either builds a config that holds the invariants the
+    # commands rely on, or raises ConfigError (exit 64 in main); a few
+    # keys per example, so that the others keep their valid defaults
+    try:
+        cfg = RunConfig(entries)
+    except ConfigError:
+        return
+    assert cfg.seed >= 0
+    assert cfg.solver.max_iter >= 1
+    assert cfg.solver.grad_tol > 0.0
+    assert cfg.solver.ceiling > 0.0
+    assert cfg.L_fixed is None or cfg.L_fixed > 0.0
+    assert all(e > 0.0 for e in cfg.testfn_eps)
+    if cfg.metric_kind.startswith("file="):
+        assert os.path.isfile(cfg.metric_kind[len("file="):])
 
 
 def test_metric_kind_validation():

@@ -249,7 +249,7 @@ def test_offgrid_single_field_matches_dense_sum(n):
 def test_offgrid_curved_stack_matches_dense_sum():
     from todalab.geometry import make_conformal_metric
     from todalab.greens import extract_expansions, green_pair_case1
-    from todalab.testfn import _StackEval, build_test_case1
+    from todalab.testfn import _StackEval, build_test_pair
 
     grid = TorusGrid(128)
     X, Y = grid.mesh()
@@ -257,7 +257,7 @@ def test_offgrid_curved_stack_matches_dense_sum():
         grid, 0.5 * np.cos(TWO_PI * X) * np.cos(TWO_PI * Y)))
     pair = green_pair_case1((0.25, 0.25), (0.75, 0.75), metric)
     extract_expansions(pair)
-    ev = _StackEval(build_test_case1(pair, 1e-3))
+    ev = _StackEval(build_test_pair(pair, 1e-3))
     stack = ev.stack
     assert stack.shape == (7, 128, 128) and not stack.flags.writeable
     pts = offgrid_points(128, np.random.default_rng(1))

@@ -13,8 +13,7 @@ from todalab.testfn import (
     DEFAULT_EPS_LIST,
     asymptotic_fit_case1,
     asymptotic_fit_case2,
-    build_test_case1,
-    build_test_case2,
+    build_test_pair,
     coupling_L,
     deficit_data,
     evaluate_phi0,
@@ -60,7 +59,7 @@ def test_smoothstep_endpoints():
 
 
 def test_fields_continuous_across_branch_edges(pair1_128):
-    tf = build_test_case1(pair1_128, 0.02, 5.0)
+    tf = build_test_pair(pair1_128, 0.02, 5.0)
     le = 0.1
     delta = 1e-8
     p = pair1_128.points[0]
@@ -76,7 +75,7 @@ def test_fields_continuous_across_branch_edges(pair1_128):
 
 
 def test_grid_values_match_pointwise(pair1_128):
-    tf = build_test_case1(pair1_128, 0.02, 5.0)
+    tf = build_test_pair(pair1_128, 0.02, 5.0)
     grid = pair1_128.grid
     rng = np.random.default_rng(6)
     idx = rng.integers(0, grid.n, size=(60, 2))
@@ -91,31 +90,31 @@ def test_grid_values_match_pointwise(pair1_128):
 def test_window_overlap_rejected(pair1_128):
     # diagonal separation ~0.707: L*eps beyond a quarter of it must fail
     with pytest.raises(GeometryError):
-        build_test_case1(pair1_128, 0.02, 10.0)
+        build_test_pair(pair1_128, 0.02, 10.0)
 
 
 def test_window_scale_rejected(pair2_256):
     # single point: no separation constraint, but L*eps must stay under 1/8
     with pytest.raises(ConfigError):
-        build_test_case2(pair2_256, 0.02, 7.0)
+        build_test_pair(pair2_256, 0.02, 7.0)
 
 
 def test_value_against_grid_quadrature_case1(pair1_256):
-    tf = build_test_case1(pair1_256, 0.02, 5.0)
+    tf = build_test_pair(pair1_256, 0.02, 5.0)
     fast = evaluate_phi0(tf)
     brute = brute_force_value(tf)
     assert abs(fast - brute) < 1e-3 * abs(brute)
 
 
 def test_value_against_grid_quadrature_case2(pair2_256):
-    tf = build_test_case2(pair2_256, 0.02, 5.0)
+    tf = build_test_pair(pair2_256, 0.02, 5.0)
     fast = evaluate_phi0(tf)
     brute = brute_force_value(tf)
     assert abs(fast - brute) < 1e-3 * abs(brute)
 
 
 def test_value_independent_of_stitch_radius(pair1_128):
-    tf = build_test_case1(pair1_128, 0.02, 5.0)
+    tf = build_test_pair(pair1_128, 0.02, 5.0)
     v2 = evaluate_phi0(tf, stitch=2.0)
     v3 = evaluate_phi0(tf, stitch=3.0)
     assert abs(v2 - v3) < 1e-3 * abs(v2)
@@ -125,13 +124,13 @@ def test_value_swap_symmetric(pair1_128):
     p1, p2 = pair1_128.points
     swapped = green_pair_case1(p2, p1, pair1_128.metric)
     extract_expansions(swapped)
-    a = evaluate_phi0(build_test_case1(pair1_128, 0.02, 5.0))
-    b = evaluate_phi0(build_test_case1(swapped, 0.02, 5.0))
+    a = evaluate_phi0(build_test_pair(pair1_128, 0.02, 5.0))
+    b = evaluate_phi0(build_test_pair(swapped, 0.02, 5.0))
     assert abs(a - b) < 1e-12
 
 
 def test_breakdown_composition(pair1_128):
-    tf = build_test_case1(pair1_128, 0.02, 5.0)
+    tf = build_test_pair(pair1_128, 0.02, 5.0)
     bd = phi0_breakdown(tf)
     quad = sum(bd[f"dirichlet_inner_{km}"] + bd[f"dirichlet_outer_{km}"]
                for km in ("11", "22", "12")) / 3.0
@@ -144,16 +143,19 @@ def test_breakdown_composition(pair1_128):
 def test_ring_block_converges(pair1_128):
     # at 10^-2.5 the cutoff's C^2 knot used to fall inside a dyadic panel,
     # and orders 16 and 24 differed by 1.2e-5 against tol = 1e-11
-    ev = _Phi0Evaluator(build_test_case1(pair1_128, 10.0 ** -2.5))
+    ev = _Phi0Evaluator(build_test_pair(pair1_128, 10.0 ** -2.5))
     for k, own in ((1, 0), (2, 1)):
         assert ev._ring_block(k, own) > 0.0   # raises unless converged
     ev.tol = -1.0
-    with pytest.raises(AccuracyError):
+    with pytest.raises(AccuracyError) as info:
         ev._ring_block(1, 0)
+    # the message holds the last two levels (orders 16 and 24), which differ
+    older, last = str(info.value).rsplit(" give ", 1)[1].split(" / ")
+    assert older != last
 
 
 def test_metric_mismatch_rejected(pair1_128):
-    tf = build_test_case1(pair1_128, 0.02, 5.0)
+    tf = build_test_pair(pair1_128, 0.02, 5.0)
     with pytest.raises(ConfigError):
         evaluate_phi0(tf, make_flat_torus(128))  # a different Metric object
 
