@@ -31,7 +31,8 @@ class SolvabilityError(TodalabError, ValueError):
 
 
 class GeometryError(TodalabError, ValueError):
-    """Test-function windows overlap or fall outside their chart."""
+    """Test-function windows overlap or fall outside their chart, or a
+    conformal factor is not representable on the grid."""
 
 
 class AccuracyError(TodalabError, RuntimeError):

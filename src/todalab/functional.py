@@ -17,11 +17,14 @@ this identity on random states.
 The minimizer is preconditioned gradient descent: search direction
 -(I - Delta_0)^{-1} (dx-gradient), Armijo backtracking, renormalization
 every iteration (harmless by shift invariance), with blow-up ceiling,
-stagnation detection, and a nonincreasing energy trace.
+stagnation detection, and a nonincreasing energy trace.  A caller that
+has the Hessian-vector product passes it to the same driver, which then
+takes truncated Newton-CG steps with that preconditioner.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,15 +297,72 @@ class RawDescent:
     stop_reason: str
 
 
+# Newton-CG inner solve: relative and absolute residual targets, and a cap
+# far above the 5-15 iterations a step takes (the preconditioned Hessian
+# is the identity plus a compact part, so CG converges fast).
+_CG_RTOL = 1e-10
+_CG_ATOL = 1e-13
+_CG_MAX_ITER = 200
+
+
+def _mean_free(x: np.ndarray) -> np.ndarray:
+    """x minus the mean of each (n, n) field of an (F, n, n) stack."""
+    return x - np.mean(x, axis=(-2, -1), keepdims=True)
+
+
+def _rms(x: np.ndarray) -> float:
+    return math.sqrt(float(np.mean(x * x)))
+
+
+def _newton_direction(grads: list[np.ndarray], hvp,
+                      grid: TorusGrid) -> list[np.ndarray]:
+    """Truncated preconditioned CG for H p = -g on mean-free fields.
+
+    H's null space is the constants, so r and z are made mean-free at
+    every iteration.  The residual target has an absolute floor: a purely
+    relative one sits below round-off once g is small.  On p.Hp <= 0 it
+    stops (Nocedal-Wright, ch. 7) with the iterate so far, or the
+    preconditioned gradient if that happens at once."""
+    b = -np.stack(grads)
+    tol = max(_CG_RTOL * _rms(b), _CG_ATOL)
+    x = np.zeros_like(b)
+    r = _mean_free(b)
+    z = _mean_free(_precondition(r, grid))
+    p, rz = z, float(np.mean(r * z))
+    for k in range(_CG_MAX_ITER):
+        hp = hvp(p)
+        curv = float(np.mean(p * hp))
+        if curv <= 0.0:
+            if k == 0:
+                x = z
+            break
+        alpha = rz / curv
+        x = x + alpha * p
+        r = _mean_free(r - alpha * hp)
+        if _rms(r) <= tol:
+            break
+        z = _mean_free(_precondition(r, grid))
+        rz_next = float(np.mean(r * z))
+        p, rz = z + (rz_next / rz) * p, rz_next
+    return list(_mean_free(x))
+
+
 def run_descent(init: list[np.ndarray], grid: TorusGrid, energy_and_grad,
                 project, grad_norm_of, ceiling_of,
-                opts: SolverOptions) -> RawDescent:
+                opts: SolverOptions, hessian=None) -> RawDescent:
     """Generic preconditioned descent with Armijo backtracking.
 
     energy_and_grad(state) -> (E, [dx-gradient arrays]);
     project(state) -> state (energy-neutral renormalization);
     grad_norm_of(state, grads) -> float used for the stopping test;
     ceiling_of(state) -> float compared against opts.ceiling.
+
+    hessian(state), when given, returns the Hessian-vector product at the
+    state, a function of an (F, n, n) stack of directions.  Each search
+    direction is then a truncated Newton-CG step (_newton_direction) and
+    the line search tries s = 1 first; the Armijo test, projection and
+    stopping tests are the same.  Without it the direction is the
+    preconditioned steepest descent -(I - Delta_0)^{-1} g.
     """
     state = project([np.array(x, dtype=float) for x in init])
     energy, grads = energy_and_grad(state)
@@ -322,12 +382,16 @@ def run_descent(init: list[np.ndarray], grid: TorusGrid, energy_and_grad,
         if ceiling_of(state) > opts.ceiling:
             blown_up, reason = True, "ceiling"
             break
-        direction = [-_precondition(g, grid) for g in grads]
+        if hessian is None:
+            direction = [-_precondition(g, grid) for g in grads]
+            s = step
+        else:
+            direction = _newton_direction(grads, hessian(state), grid)
+            s = 1.0
         slope = sum(float(np.mean(g * d)) for g, d in zip(grads, direction))
         if slope >= 0.0:
             stagnated, reason = True, "nondescent"
             break
-        s = step
         accepted = False
         for _ in range(opts.max_backtracks):
             trial = project([x + s * d for x, d in zip(state, direction)])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import AccuracyError, DataError
+from .errors import AccuracyError, DataError, GeometryError
 from .spectral import ScalarField, TorusGrid
 
 __all__ = [
@@ -23,6 +23,9 @@ __all__ = [
     "make_flat_torus", "make_conformal_metric", "metric_expansion_at",
     "integrate", "polyfit_disc", "load_conformal_metric",
 ]
+
+
+_LOG_MAX_DOUBLE = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -81,11 +84,25 @@ def make_conformal_metric(phi_raw: ScalarField) -> Metric:
     if not np.all(np.isfinite(phi_raw.values)):
         raise DataError("conformal exponent contains non-finite values")
     grid = phi_raw.grid
-    # subtract log of the raw area so that the area element integrates to 1
+    # subtract log of the raw area, m + log(mean e^{phi_raw - m}), so that
+    # the area element integrates to 1.  Where e^m would overflow the
+    # shift by m is applied first; elsewhere log(e^m mean) is subtracted
+    # whole, which keeps every such exponent to the last bit.
     m = float(np.max(phi_raw.values))
-    raw_area = float(np.exp(m) * np.mean(np.exp(phi_raw.values - m)))
-    phi = ScalarField(grid, phi_raw.values - np.log(raw_area))
-    weight = np.exp(phi.values)
+    with np.errstate(over="ignore"):
+        shifted = phi_raw.values - m
+        mean_exp = float(np.mean(np.exp(shifted)))
+        if m < _LOG_MAX_DOUBLE:
+            values = phi_raw.values - np.log(float(np.exp(m) * mean_exp))
+        else:
+            values = shifted - np.log(mean_exp)
+        phi = ScalarField(grid, values)
+        weight = np.exp(phi.values)
+    if not np.all(np.isfinite(weight) & (weight > 0.0)):
+        raise GeometryError(
+            "conformal factor e^phi underflows or overflows on the grid "
+            f"(raw exponent spans [{float(np.min(phi_raw.values)):.6g}, "
+            f"{m:.6g}])")
     area = float(np.mean(weight))
     lap = spectral.laplacian0(phi)
     inv_weight = ScalarField(grid, 1.0 / weight)

@@ -2,9 +2,10 @@
 
 Conventions
 -----------
-The torus is [0,1)^2 with unit cell area 1.  A field is stored as grid
-values ``f[i, j] = f(i*h, j*h)`` with ``h = 1/n``, together with lazily
-cached spectral coefficients normalized so that
+The torus is [0,1)^2 with unit cell area 1.  A field holds grid values
+``f[i, j] = f(i*h, j*h)`` with ``h = 1/n``, spectral coefficients, or
+both: it is built from either, and the other is computed on first read
+and cached.  The coefficients are normalized so that
 
     f(x, y) = sum_k  fhat[k1, k2] * exp(2*pi*i*(k1*x + k2*y)),
 
@@ -126,18 +127,20 @@ def to_values(modes: np.ndarray) -> np.ndarray:
 
 
 class ScalarField:
-    """Real periodic field with consistent grid values and spectral modes."""
+    """Real periodic field with consistent grid values and spectral modes.
 
-    __slots__ = ("grid", "values", "_modes")
+    Either side is computed from the other on first read and then kept."""
 
-    def __init__(self, grid: TorusGrid, values: np.ndarray, _modes=None):
+    __slots__ = ("grid", "_values", "_modes")
+
+    def __init__(self, grid: TorusGrid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n, grid.n):
             raise GridMismatchError(
                 f"values shape {values.shape} does not match grid n={grid.n}")
         self.grid = grid
-        self.values = values
-        self._modes = _modes
+        self._values = values
+        self._modes = None
 
     @classmethod
     def from_modes(cls, grid: TorusGrid, modes: np.ndarray) -> "ScalarField":
@@ -145,16 +148,26 @@ class ScalarField:
         if modes.shape != (grid.n, grid.n):
             raise GridMismatchError(
                 f"modes shape {modes.shape} does not match grid n={grid.n}")
-        return cls(grid, to_values(modes), _modes=modes)
+        field = cls.__new__(cls)
+        field.grid = grid
+        field._values = None
+        field._modes = modes
+        return field
 
     @classmethod
     def constant(cls, grid: TorusGrid, c: float) -> "ScalarField":
         return cls(grid, np.full((grid.n, grid.n), float(c)))
 
     @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = to_values(self._modes)
+        return self._values
+
+    @property
     def modes(self) -> np.ndarray:
         if self._modes is None:
-            self._modes = to_modes(self.values)
+            self._modes = to_modes(self._values)
         return self._modes
 
     def mean(self) -> float:
@@ -348,6 +361,7 @@ def _contract(fine: np.ndarray, points: np.ndarray) -> np.ndarray:
         blk = blocks[corner[:, 0], corner[:, 1]]            # (c, w, w*F)
         rows = np.matmul(kx[:, None, :], blk).reshape(-1, w, nf)
         out[:, lo:lo + _EVAL_CHUNK] = np.einsum("cbf,cb->fc", rows, ky)
+        del blk, rows      # else the next gather runs while this one lives
     return out
 
 

@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-The Green-pair fixtures are session-scoped because the case-2 construction
-runs a nonlinear descent (roughly a minute at n=256); everything downstream
-(unit tests and the acceptance gate) reuses one build per resolution.
+The Green-pair fixtures are session-scoped: the case-2 construction runs a
+nonlinear Newton solve (under a second at n=256) and the pairs at n=512
+are large; everything downstream (unit tests and the acceptance gate)
+reuses one build per resolution.
 """
 
 import numpy as np

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -85,14 +86,19 @@ def test_bad_eps_list_exits_64(tmp_path, capsys):
     "metric.kind = file=TMPDIR\n",
     "solver.ceiling = -1\n",
     "solver.ceiling = 0\n",
+    "metric.kind = cosine:800\n",
 ])
 def test_bad_values_exit_64_with_one_line(tmp_path, capsys, text):
     text = text.replace("TMPDIR", str(tmp_path))     # a directory
     path = write_config(tmp_path, "grid.n = 64\neps = 0.5\n" + text)
-    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 64
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--config", path, "--out", str(tmp_path)])
+    assert code == 64
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
+    assert "Warning" not in err and not caught
     assert not (tmp_path / "solve.json").exists()
 
 

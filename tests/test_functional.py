@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import i0
 
+from todalab import spectral
 from todalab.errors import ConfigError, GridMismatchError
 from todalab.functional import (
     CartanMatrix,
@@ -304,6 +305,34 @@ def test_minimize_eps_sweep_stays_bounded(flat64):
         _, rep = minimize_phi_eps(init, eps, flat64)
         assert not rep.blown_up
         assert max(rep.maxima) < 5.0
+
+
+def test_newton_descent_solves_a_quadratic_in_one_step():
+    # E(x) = 1/2 int |grad x|^2 - int b x on mean-free fields: the Hessian
+    # is -Delta, so one Newton-CG step lands on the minimizer
+    grid = TorusGrid(16)
+    x, y = grid.mesh()
+    b = np.cos(2 * np.pi * x) + 0.5 * np.sin(2 * np.pi * (x + 2 * y))
+
+    def minus_lap(h):
+        return -spectral.to_values(grid.laplacian * spectral.to_modes(h))
+
+    def energy_and_grad(state):
+        u = state[0]
+        return (0.5 * float(np.mean(u * minus_lap(u)))
+                - float(np.mean(b * u))), [minus_lap(u) - b]
+
+    raw = run_descent(
+        [np.zeros((16, 16))], grid, energy_and_grad,
+        lambda state: [u - np.mean(u) for u in state],
+        lambda state, grads: float(np.max(np.abs(grads[0]))),
+        lambda state: 0.0, SolverOptions(), hessian=lambda state: minus_lap)
+    assert raw.converged and raw.stop_reason == "grad_tol"
+    assert raw.iterations == 1
+    assert raw.grad_norm < 1e-12
+    exact = (np.cos(2 * np.pi * x)
+             + 0.1 * np.sin(2 * np.pi * (x + 2 * y))) / (4.0 * np.pi ** 2)
+    assert np.max(np.abs(raw.state[0] - exact)) < 1e-13
 
 
 def test_ceiling_flags_blow_up(flat64):

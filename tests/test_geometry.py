@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from todalab.errors import AccuracyError, ConfigError, DataError, GridMismatchError
+from todalab.errors import (AccuracyError, ConfigError, DataError,
+                            GeometryError, GridMismatchError)
 from todalab.geometry import (
     integrate,
     integrate_values,
@@ -85,6 +86,20 @@ def test_non_finite_rejected():
     vals[3, 5] = np.nan
     with pytest.raises(DataError):
         make_conformal_metric(ScalarField(grid, vals))
+
+
+def test_large_exponents_normalize_or_raise():
+    # a constant shift is normalized away even where e^shift overflows
+    grid = TorusGrid(32)
+    X, Y = grid.mesh()
+    smooth = 0.3 * np.cos(TWO_PI * X) * np.cos(TWO_PI * Y)
+    shifted = make_conformal_metric(ScalarField(grid, smooth + 800.0))
+    assert abs(shifted.area - 1.0) < 1e-14
+    assert np.max(np.abs(shifted.phi.values
+                         - cos_cos_metric(32).phi.values)) < 1e-12
+    # a factor that underflows on the grid is no metric
+    with pytest.raises(GeometryError):
+        make_conformal_metric(ScalarField(grid, 800.0 * np.cos(TWO_PI * X)))
 
 
 def test_expansion_flat_is_zero():

@@ -13,6 +13,7 @@ from todalab.greens import (
     extract_expansions,
     flat_green,
     green_pair_case1,
+    green_pair_case2,
     local_expansion,
     residual_sample_points,
 )
@@ -179,6 +180,22 @@ def test_smooth_remainder_band_limited(pair1_512):
 
 
 # --- single-point system ----------------------------------------------
+
+# mean_G2 of the flat one-pole pair at (1/2, 1/2), n=64, from the
+# 7062-step steepest descent that the Newton solve replaced
+MEAN_G2_DESCENT = -0.6975385467490406
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_case2_newton_converges_from_zero(n):
+    pair = green_pair_case2(np.array([0.5, 0.5]), make_flat_torus(n))
+    rep = pair.descent
+    assert rep.converged and rep.stop_reason == "grad_tol"
+    assert rep.grad_norm <= 1e-8
+    assert rep.iterations <= 20
+    assert np.all(np.diff(rep.energy_trace) <= 0.0)
+    assert abs(pair.mean_G2 - MEAN_G2_DESCENT) < 1e-10
+
 
 def test_case2_log_coefficients(pair2_256):
     assert pair2_256.expansions[(1, 0)].a == -4.0

@@ -68,6 +68,25 @@ def test_mode_value_roundtrip():
     assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
+def test_from_modes_transforms_on_first_read(monkeypatch):
+    # the values come from one inverse transform when first read, equal
+    # to the bit to the eager to_values of the same modes
+    grid = TorusGrid(64)
+    rng = np.random.default_rng(1)
+    modes = spectral.to_modes(rng.normal(size=(64, 64)))
+    eager = spectral.to_values(modes)
+    calls = []
+    inverse = spectral.to_values
+    monkeypatch.setattr(spectral, "to_values",
+                        lambda m: calls.append(1) or inverse(m))
+    f = ScalarField.from_modes(grid, modes)
+    assert f.modes is not None and dirichlet_form(f, f) > 0.0
+    assert calls == []
+    assert np.array_equal(f.values, eager)
+    assert f.values is f.values
+    assert calls == [1]
+
+
 def test_laplacian_examples():
     grid = TorusGrid(64)
     zero = laplacian0(ScalarField.constant(grid, 3.7))

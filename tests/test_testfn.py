@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from todalab.bubble import lower_bound_case1, lower_bound_case2, case2_closing_constant
 from todalab.errors import AccuracyError, ConfigError, GeometryError
 from todalab.geometry import integrate, make_flat_torus
-from todalab.greens import extract_expansions, green_pair_case1
+from todalab.greens import extract_expansions, green_pair_case1, green_pair_case2
 from todalab.spectral import ScalarField, dirichlet_form
 from todalab.testfn import (
     _Phi0Evaluator,
+    _StackEval,
     DEFAULT_EPS_LIST,
     asymptotic_fit_case1,
     asymptotic_fit_case2,
@@ -219,3 +221,22 @@ def test_fit_case2_report(pair2_256):
     assert report.target_slope == pytest.approx(-1.0, abs=1e-8)
     vals = [row["phi0"] for row in report.rows]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_stack_eval_memory_peak():
+    # one full-gradient call at 13824 points on the n=64 one-pole pair:
+    # image sums run in 1024-point batches and the off-grid contraction
+    # frees each 256-point gather before the next; both at once peaked
+    # at 9.3 MB here
+    pair = green_pair_case2(np.array([0.5, 0.5]), make_flat_torus(64))
+    extract_expansions(pair)
+    ev = _StackEval(build_test_pair(pair, 1e-3))
+    pts = np.random.default_rng(0).random((13824, 2))
+    tracemalloc.start()
+    try:
+        out = ev(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["dG2"].shape == (13824, 2)
+    assert peak < 6.0e6
