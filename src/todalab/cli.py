@@ -20,7 +20,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import bubble, diagnostics, testfn
 from .errors import (ConfigError, GeometryError, GridMismatchError,
@@ -224,6 +223,9 @@ def _write_report(cfg: RunConfig, name: str, payload: dict,
 # --- verify -----------------------------------------------------------
 
 def _verify_checks(cfg: RunConfig, perturb: bool) -> list[dict]:
+    # imported here: scipy.integrate adds about 50 MB to every command
+    from scipy.integrate import quad
+
     checks = []
     fault = 1e-3 if perturb else 0.0
 

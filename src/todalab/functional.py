@@ -14,12 +14,14 @@ They agree under the linear substitution v1 = (2 u1 + u2)/3,
 v2 = (u1 + 2 u2)/3 with both masses 4 pi - eps; the test suite asserts
 this identity on random states.
 
-The minimizer is preconditioned gradient descent: search direction
--(I - Delta_0)^{-1} (dx-gradient), Armijo backtracking, renormalization
-every iteration (harmless by shift invariance), with blow-up ceiling,
-stagnation detection, and a nonincreasing energy trace.  A caller that
-has the Hessian-vector product passes it to the same driver, which then
-takes truncated Newton-CG steps with that preconditioner.
+The minimizer is truncated Newton-CG (run_descent, shared with the
+one-pole Green solve): each step solves H p = -g by CG with the
+(I - Delta_0)^{-1} preconditioner, exits on negative curvature, and is
+accepted by an Armijo test that tries the full step first.  The energy in
+that test is read as E(u) + [E(v) - E(u)] around the Newton iterate u
+(AnchoredEnergy), so it carries no cancellation.  Every iteration
+renormalizes (harmless by shift invariance); run_descent keeps a blow-up
+ceiling, stagnation detection and a nonincreasing energy trace.
 """
 
 from __future__ import annotations
@@ -138,7 +140,6 @@ class SolverOptions:
     max_iter: int = 5000
     grad_tol: float = 1e-8
     ceiling: float = 40.0
-    step0: float = 1.0
     backtrack: float = 0.5
     armijo: float = 1e-4
     max_backtracks: int = 60
@@ -212,23 +213,47 @@ def phi_eps(u1: ScalarField, u2: ScalarField, eps: float, metric: Metric) -> flo
     return d + mean_term - log_term
 
 
-def _phi_eps_core(u1v, u2v, eps, metric, grid):
-    """Energy (phi_eps) and dx-gradients from raw value arrays; the two
-    share the fields' modes."""
-    f1, f2 = ScalarField(grid, u1v), ScalarField(grid, u2v)
-    energy = phi_eps(f1, f2, eps, metric)
+def _density(uv: np.ndarray, metric: Metric) -> np.ndarray:
+    """e^{u} w / mean(e^{u} w), evaluated max-shifted."""
+    t = uv + metric.phi.values
+    e = np.exp(t - float(np.max(t)))
+    return e / float(np.mean(e))
+
+
+def _phi_eps_grads(f1: ScalarField, f2: ScalarField, eps: float,
+                   metric: Metric) -> list[np.ndarray]:
+    """dx-gradients of phi_eps; the two share the fields' modes."""
     rho = FOUR_PI - eps
+    grid = f1.grid
     lap_a = spectral.to_values(grid.laplacian * (2.0 * f1.modes + f2.modes))
     lap_b = spectral.to_values(grid.laplacian * (f1.modes + 2.0 * f2.modes))
+    return [-lap / 3.0 + rho * (metric.weight - _density(f.values, metric))
+            for f, lap in ((f1, lap_a), (f2, lap_b))]
 
-    grads = []
-    for uv, lap in ((u1v, lap_a), (u2v, lap_b)):
-        t = uv + metric.phi.values
-        mshift = float(np.max(t))
-        e = np.exp(t - mshift)
-        z = float(np.mean(e))
-        grads.append(-lap / 3.0 + rho * (metric.weight - e / z))
-    return energy, grads
+
+def _phi_eps_hvp(d: np.ndarray, eps: float, grid: TorusGrid):
+    """Hessian-vector product of phi_eps on dx-gradients, a function of a
+    (2, n, n) stack of directions h:
+
+      H h_i = -(1/3) Delta_0 (2 h_i + h_j) - rho (d_i h_i - d_i <d_i, h_i>),
+
+    d the (2, n, n) stack of _density at the state, rho = 4 pi - eps."""
+    rho = FOUR_PI - eps
+
+    def apply(h):
+        hm = spectral.to_modes(h)
+        lap = spectral.to_values(grid.laplacian * np.stack(
+            (2.0 * hm[0] + hm[1], hm[0] + 2.0 * hm[1])))
+        dh = d * h
+        return -lap / 3.0 - rho * (
+            dh - d * np.mean(dh, axis=(-2, -1), keepdims=True))
+    return apply
+
+
+def _phi_eps_core(u1v, u2v, eps, metric, grid):
+    """Energy (phi_eps) and dx-gradients from raw value arrays."""
+    f1, f2 = ScalarField(grid, u1v), ScalarField(grid, u2v)
+    return phi_eps(f1, f2, eps, metric), _phi_eps_grads(f1, f2, eps, metric)
 
 
 def phi_eps_gradient(u1: ScalarField, u2: ScalarField, eps: float,
@@ -241,7 +266,7 @@ def phi_eps_gradient(u1: ScalarField, u2: ScalarField, eps: float,
     """
     _check_eps(eps)
     grid = u1.grid
-    _, grads_dx = _phi_eps_core(u1.values, u2.values, eps, metric, grid)
+    grads_dx = _phi_eps_grads(u1, u2, eps, metric)
     inv_w = 1.0 / metric.weight
     return (ScalarField(grid, grads_dx[0] * inv_w),
             ScalarField(grid, grads_dx[1] * inv_w))
@@ -347,22 +372,76 @@ def _newton_direction(grads: list[np.ndarray], hvp,
     return list(_mean_free(x))
 
 
+class AnchoredEnergy:
+    """E(v) read as E(u) + [E(v) - E(u)] around an anchor u, for
+
+      E(u) = (1/2) sum_ij a_ij integral grad u_i . grad u_j dx
+             + m sum_i integral u_i dV_g
+             - m sum_i log integral e^{u_i} c_i dV_g
+
+    with fixed positive factors c_i (Phi_eps: a = (1/3)[[2, 1], [1, 2]],
+    m = 4 pi - eps, c = 1; the one-pole Green functional: a = [[1]],
+    m = 8 pi, c = e^s).  The bracket is formed from delta = v - u: the
+    Dirichlet cross and square terms, m mean(delta_i w) and
+    -m log1p(mean(d_i expm1(delta_i))), d_i the normalized density
+    e^{u_i} c_i w / mean(e^{u_i} c_i w) at the anchor, so it carries no
+    cancellation.  Near a minimizer a Newton step lowers E by far less
+    than the round-off of E evaluated directly, and an Armijo test on the
+    direct E could not tell that step from a rise.  A trial so far off
+    that e^{delta} overflows reads E = +-inf and is backtracked.  Before
+    the first anchor, E is direct(state, fields).
+    """
+
+    def __init__(self, coupling, mass: float, weight: np.ndarray, direct):
+        self.coupling = coupling
+        self.mass = mass
+        self.weight = weight
+        self.direct = direct
+        self._anchor = None
+
+    def __call__(self, state: list[np.ndarray],
+                 fields: list[ScalarField]) -> float:
+        if self._anchor is None:
+            return self.direct(state, fields)
+        energy, base, dens = self._anchor
+        a, idx = self.coupling, range(len(base))
+        deltas = [v - f.values for v, f in zip(state, base)]
+        dfs = [ScalarField(f.grid, dv) for f, dv in zip(base, deltas)]
+        cross = sum(a[i][j] * spectral.dirichlet_form(base[i], dfs[j])
+                    for i in idx for j in idx)
+        square = sum(a[i][j] * spectral.dirichlet_form(dfs[i], dfs[j])
+                     for i in idx for j in idx)
+        change = cross + 0.5 * square
+        for dv in deltas:
+            change += self.mass * float(np.mean(dv * self.weight))
+        for d, dv in zip(dens, deltas):
+            with np.errstate(over="ignore", divide="ignore"):
+                log_ratio = float(np.log1p(np.mean(d * np.expm1(dv))))
+            change -= self.mass * log_ratio
+        return energy + change
+
+    def move(self, state: list[np.ndarray], fields: list[ScalarField],
+             densities) -> None:
+        """Anchor at the state (the current Newton iterate), whose
+        normalized densities d_i are given."""
+        self._anchor = (self(state, fields), fields, densities)
+
+
 def run_descent(init: list[np.ndarray], grid: TorusGrid, energy_and_grad,
                 project, grad_norm_of, ceiling_of,
-                opts: SolverOptions, hessian=None) -> RawDescent:
-    """Generic preconditioned descent with Armijo backtracking.
+                opts: SolverOptions, hessian) -> RawDescent:
+    """Truncated Newton-CG descent with Armijo backtracking.
 
     energy_and_grad(state) -> (E, [dx-gradient arrays]);
     project(state) -> state (energy-neutral renormalization);
     grad_norm_of(state, grads) -> float used for the stopping test;
-    ceiling_of(state) -> float compared against opts.ceiling.
+    ceiling_of(state) -> float compared against opts.ceiling;
+    hessian(state) -> the Hessian-vector product at the state, a function
+    of an (F, n, n) stack of directions.
 
-    hessian(state), when given, returns the Hessian-vector product at the
-    state, a function of an (F, n, n) stack of directions.  Each search
-    direction is then a truncated Newton-CG step (_newton_direction) and
-    the line search tries s = 1 first; the Armijo test, projection and
-    stopping tests are the same.  Without it the direction is the
-    preconditioned steepest descent -(I - Delta_0)^{-1} g.
+    Each search direction is a truncated Newton-CG step
+    (_newton_direction); the line search tries s = 1 first and halves s
+    until the Armijo test holds.
     """
     state = project([np.array(x, dtype=float) for x in init])
     energy, grads = energy_and_grad(state)
@@ -370,7 +449,6 @@ def run_descent(init: list[np.ndarray], grid: TorusGrid, energy_and_grad,
         raise SolverError("non-finite energy at the initial point", trace=[energy])
     trace = [energy]
     gnorm = grad_norm_of(state, grads)
-    step = opts.step0
     stagnant = 0
     converged = blown_up = stagnated = False
     reason = "max_iter"
@@ -382,16 +460,12 @@ def run_descent(init: list[np.ndarray], grid: TorusGrid, energy_and_grad,
         if ceiling_of(state) > opts.ceiling:
             blown_up, reason = True, "ceiling"
             break
-        if hessian is None:
-            direction = [-_precondition(g, grid) for g in grads]
-            s = step
-        else:
-            direction = _newton_direction(grads, hessian(state), grid)
-            s = 1.0
+        direction = _newton_direction(grads, hessian(state), grid)
         slope = sum(float(np.mean(g * d)) for g, d in zip(grads, direction))
         if slope >= 0.0:
             stagnated, reason = True, "nondescent"
             break
+        s = 1.0
         accepted = False
         for _ in range(opts.max_backtracks):
             trial = project([x + s * d for x, d in zip(state, direction)])
@@ -411,7 +485,6 @@ def run_descent(init: list[np.ndarray], grid: TorusGrid, energy_and_grad,
         state, energy, grads = trial, e_trial, g_trial
         trace.append(energy)
         gnorm = grad_norm_of(state, grads)
-        step = min(s * 2.0, opts.step0 * 16.0)
         if decrease < opts.stagnation_decrease:
             stagnant += 1
             if stagnant >= opts.stagnation_window:
@@ -432,16 +505,30 @@ def run_descent(init: list[np.ndarray], grid: TorusGrid, energy_and_grad,
 def minimize_phi_eps(init: TodaState, eps: float, metric: Metric,
                      opts: SolverOptions | None = None
                      ) -> tuple[TodaState, DescentReport]:
-    """Minimize Phi_eps from the given state; eps must be positive."""
+    """Minimize Phi_eps from the given state by Newton-CG steps
+    (run_descent with _phi_eps_hvp); eps must be positive."""
     _check_eps(eps, allow_zero=False)
     opts = opts or SolverOptions()
     if init.rank != 2:
         raise ConfigError("the reduced functional takes exactly two fields")
     grid = init.grid
     inv_w = 1.0 / metric.weight
+    energy = AnchoredEnergy(
+        ((2.0 / 3.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0)), FOUR_PI - eps,
+        metric.weight,
+        lambda state, fields: phi_eps(*fields, eps, metric))
+
+    def fields_of(state):
+        return [ScalarField(grid, x) for x in state]
 
     def energy_and_grad(state):
-        return _phi_eps_core(state[0], state[1], eps, metric, grid)
+        fields = fields_of(state)
+        return energy(state, fields), _phi_eps_grads(*fields, eps, metric)
+
+    def hessian(state):
+        d = np.stack([_density(x, metric) for x in state])
+        energy.move(state, fields_of(state), d)
+        return _phi_eps_hvp(d, eps, grid)
 
     def project(state):
         return [x - _log_int_exp(x, metric) for x in state]
@@ -453,13 +540,14 @@ def minimize_phi_eps(init: TodaState, eps: float, metric: Metric,
         return max(float(np.max(x)) for x in state)
 
     raw = run_descent([f.values for f in init.u], grid, energy_and_grad,
-                      project, grad_norm_of, ceiling_of, opts)
+                      project, grad_norm_of, ceiling_of, opts, hessian)
 
-    fields = tuple(ScalarField(grid, x) for x in raw.state)
-    final = TodaState(u=fields, masses=init.masses)
+    final = TodaState(u=tuple(fields_of(raw.state)), masses=init.masses)
     resid = None
     if not raw.blown_up:
-        resid = el_residual(fields[0], fields[1], eps, metric)
+        # on fields of its own, so that the returned state does not keep
+        # the modes el_residual computes
+        resid = el_residual(*fields_of(raw.state), eps, metric)
     maxima = [float(np.max(x)) for x in raw.state]
     means = [float(np.mean(x * metric.weight)) for x in raw.state]
     s_vals = [1.0 + mb / m if m > 0 else None for m, mb in zip(maxima, means)]

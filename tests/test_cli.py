@@ -301,3 +301,24 @@ def test_sweep_report_formats(tmp_path, capsys):
 def test_config_digest_stable():
     assert RunConfig({}).digest == RunConfig({}).digest
     assert RunConfig({}).digest != RunConfig({"grid.n": "128"}).digest
+
+
+def test_imports_leave_scipy_special_and_integrate_unloaded():
+    # scipy.special and scipy.integrate are imported where they are used:
+    # loaded with the modules they cost every Phi_eps-only process and
+    # every command about 24 MB and 50 MB
+    import subprocess
+    import sys
+
+    import todalab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(todalab.__file__)))
+    code = ("import sys\n"
+            "import todalab.functional, todalab.greens, todalab.testfn, "
+            "todalab.cli\n"
+            "print(sorted(m for m in ('scipy.special', 'scipy.integrate') "
+            "if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
