@@ -278,7 +278,10 @@ def el_residual(u1: ScalarField, u2: ScalarField, eps: float,
 
     max over i of sup | -Delta_g u_i - [(8 pi - 2 eps) e^{u_i}
                                         - (4 pi - eps) e^{u_other}
-                                        - (4 pi - eps)] |.
+                                        - (4 pi - eps)] |,
+
+    on the grid, with Delta_g u = e^{-phi} Delta_0 u pointwise as in the
+    gradient, so it equals max |2 g_i - g_other| of phi_eps_gradient.
     """
     _check_eps(eps)
     for f in (u1, u2):
@@ -287,17 +290,11 @@ def el_residual(u1: ScalarField, u2: ScalarField, eps: float,
             raise ConfigError(
                 f"state not normalized: log integral e^u dV_g = {drift:.3e}")
     rho = FOUR_PI - eps
-    grid = u1.grid
     out = 0.0
     e1 = np.exp(u1.values)
     e2 = np.exp(u2.values)
     for f, ea, eb in ((u1, e1, e2), (u2, e2, e1)):
-        lap = spectral.laplacian0(f)
-        if metric.is_flat:
-            lap_g = lap.values
-        else:
-            inv_w = ScalarField(grid, 1.0 / metric.weight)
-            lap_g = spectral.product_dealiased(inv_w, lap).values
+        lap_g = spectral.laplacian0(f).values / metric.weight
         res = -lap_g - (2.0 * rho * ea - rho * eb - rho)
         out = max(out, float(np.max(np.abs(res))))
     return out

@@ -21,7 +21,7 @@ from .spectral import ScalarField, TorusGrid
 __all__ = [
     "TorusGrid", "Metric", "MetricExpansion",
     "make_flat_torus", "make_conformal_metric", "metric_expansion_at",
-    "integrate", "polyfit_disc", "load_conformal_metric",
+    "polyfit_disc", "load_conformal_metric",
 ]
 
 
@@ -109,23 +109,6 @@ def make_conformal_metric(phi_raw: ScalarField) -> Metric:
     curv = spectral.product_dealiased(inv_weight, lap)
     curvature = ScalarField(grid, -0.5 * curv.values)
     return Metric(phi=phi, curvature=curvature, area=area, weight=weight)
-
-
-def integrate(f: ScalarField, metric: Metric) -> float:
-    """integral of f dV_g by the periodic trapezoid rule (spectral accuracy)."""
-    if f.grid != metric.grid:
-        raise spectral.GridMismatchError("field and metric grids differ")
-    return float(np.mean(f.values * metric.weight))
-
-
-def integrate_values(values: np.ndarray, metric: Metric) -> float:
-    """Same as integrate, for a raw value array."""
-    values = np.asarray(values)
-    n = metric.grid.n
-    if values.shape != (n, n):
-        raise spectral.GridMismatchError(
-            f"value shape {values.shape} does not match grid n={n}")
-    return float(np.mean(values * metric.weight))
 
 
 # Monomial exponents for the degree-3 local fit: 1, x, y, x^2, y^2, xy, cubics.

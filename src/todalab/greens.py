@@ -52,33 +52,61 @@ _IMAGE_OFFSETS = np.array([(mx, my) for mx in (-1, 0, 1) for my in (-1, 0, 1)],
                           dtype=float)
 
 
+# Ein(z) = sum_{k>=1} (-1)^{k+1} z^k / (k k!), the entire part of the
+# exponential integral: E1(z) = Ein(z) - gamma - log z.  Its coefficients,
+# highest first for Horner's rule; 19 terms leave below 1e-18 on [0, 1).
+_EIN_COEFFS = tuple((-1.0) ** (k + 1) / (k * math.factorial(k))
+                    for k in range(19, 0, -1))
+# (upper end, depth) of the ranges on which E1 is its continued fraction,
+# each depth enough for round-off at the range's lower end
+_E1_FRACTION = ((2.0, 100), (4.0, 60), (10.0, 40), (math.inf, 25))
+
+
+def _ein(z: np.ndarray) -> np.ndarray:
+    """Ein(z) by Horner's rule; accurate to round-off on [0, 1)."""
+    acc = np.full_like(z, _EIN_COEFFS[0])
+    for c in _EIN_COEFFS[1:]:
+        acc = acc * z + c
+    return acc * z
+
+
 def _exp1(z: np.ndarray) -> np.ndarray:
-    """The exponential integral E1 (scipy.special.exp1).
+    """The exponential integral E1 on [0, inf); +inf at 0.
 
-    Imported on first use: at module level scipy.special added about
-    24 MB of memory and 0.24 s to every process that imports greens or
-    testfn, the Phi_eps-only ones too."""
-    from scipy.special import exp1
+    Below 1 it is Ein(z) - gamma - log z (Abramowitz-Stegun 5.1.11);
+    above, the continued fraction (A-S 5.1.22, even part)
 
-    return exp1(z)
+        E1(z) = e^{-z} / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - 9 / ...))),
+
+    summed backward from a fixed depth per range.  Within 5e-16 relative
+    of mpmath on (0, 40]."""
+    z = np.asarray(z, dtype=float)
+    out = np.full_like(z, np.nan)
+    small = z < 1.0
+    zs = z[small]
+    with np.errstate(divide="ignore"):
+        out[small] = _ein(zs) - EULER_GAMMA - np.log(zs)
+    lo = 1.0
+    for hi, depth in _E1_FRACTION:
+        sel = (z >= lo) & (z < hi)
+        lo = hi
+        zs = z[sel]
+        if zs.size == 0:
+            continue
+        t = np.zeros_like(zs)
+        for k in range(depth, 0, -1):
+            t = k * k / (zs + (2 * k + 1) - t)
+        out[sel] = np.exp(-zs) / (zs + 1.0 - t)
+    return out
 
 
 def _e1_plus_log(z: np.ndarray) -> np.ndarray:
-    """E1(z) + log z, the entire part of the exponential integral.
-
-    Series -gamma + sum (-1)^{k+1} z^k / (k k!) below 0.5, E1 + log above;
-    both branches are accurate to machine precision on their ranges.
-    """
+    """E1(z) + log z, the entire part of the exponential integral:
+    Ein(z) - gamma below 1, E1 + log above."""
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
-    small = z < 0.5
-    zs = z[small]
-    acc = np.full_like(zs, -EULER_GAMMA)
-    term = np.ones_like(zs)
-    for k in range(1, 18):
-        term = term * (-zs) / k
-        acc -= term / k
-    out[small] = acc
+    small = z < 1.0
+    out[small] = _ein(z[small]) - EULER_GAMMA
     zl = z[~small]
     out[~small] = _exp1(zl) + np.log(zl)
     return out
@@ -88,14 +116,9 @@ def _exp_neg_e1(z: np.ndarray) -> np.ndarray:
     """exp(-E1(z)), vanishing linearly at z = 0; stable on [0, inf)."""
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
-    small = z < 0.5
+    small = z < 1.0
     zs = z[small]
-    acc = np.zeros_like(zs)
-    term = np.ones_like(zs)
-    for k in range(1, 18):
-        term = term * (-zs) / k
-        acc += term / k
-    out[small] = zs * math.exp(EULER_GAMMA) * np.exp(acc)
+    out[small] = zs * math.exp(EULER_GAMMA) * np.exp(-_ein(zs))
     out[~small] = np.exp(-_exp1(z[~small]))
     return out
 
@@ -107,14 +130,35 @@ def split_width(grid: TorusGrid) -> float:
     return 2.8 / grid.n
 
 
-# Points per batch of an image sum: the kernels hold about 60 doubles per
-# point (9 images), so a batch of 1024 stays near 0.5 MB however many
-# points are asked for.
-_IMAGE_CHUNK = 1024
+# Points per batch of an image sum.  A batch holds about 7 doubles per
+# point and live image: 4 MB with all nine live, under 1 MB with the one
+# live image of every batch at n >= 64 (there each point's other images
+# lie beyond the skip radius).
+_IMAGE_CHUNK = 8192
 
 # Image terms with r^2 / 2 eta^2 at or above this are skipped: E1 there is
 # below 1e-19 and exp(-z) / r^2 below 1e-17 / r^2.
 _Z_SKIP = 40.0
+_FAR_OFFSETS = _IMAGE_OFFSETS[np.any(_IMAGE_OFFSETS != 0.0, axis=1)]
+
+
+def _live_images(d: np.ndarray, eta: float,
+                 offsets: np.ndarray = _IMAGE_OFFSETS) -> np.ndarray:
+    """Displacements d + o, shape (m, k, 2), to the images o among
+    `offsets` that can reach r^2 / 2 eta^2 < _Z_SKIP for some row of the
+    wrapped displacements d (m, 2).
+
+    An image is dropped when the bounding box of d keeps it at or beyond
+    the skip radius with a relative margin of 1e-9, so only images whose
+    every term _screened would set to an exact zero (or exp(-E1) to an
+    exact 1) are left out."""
+    if d.shape[0] == 0:
+        return d[:, None, :] + offsets[None, :, :]
+    lo, hi = d.min(axis=0), d.max(axis=0)
+    gap = np.maximum(np.maximum(lo + offsets, -(hi + offsets)), 0.0)
+    z_min = (gap ** 2).sum(axis=1) / (2.0 * eta * eta)
+    live = offsets[z_min < _Z_SKIP * (1.0 + 1e-9)]
+    return d[:, None, :] + live[None, :, :]
 
 
 def _screened(z: np.ndarray, fn) -> np.ndarray:
@@ -125,10 +169,14 @@ def _screened(z: np.ndarray, fn) -> np.ndarray:
     return out
 
 
+def _displacements(points: np.ndarray, p) -> np.ndarray:
+    """Wrapped displacements from p to the points, (m, 2)."""
+    return spectral.wrap_offset(np.atleast_2d(points) - np.asarray(p))
+
+
 def _image_sum(points: np.ndarray, p, eta: float) -> np.ndarray:
     """sum over 3x3 images of (1/4 pi) E1(r^2 / 2 eta^2); +inf at the source."""
-    d = spectral.wrap_offset(np.atleast_2d(points) - np.asarray(p))
-    r2 = ((d[:, None, :] + _IMAGE_OFFSETS[None, :, :]) ** 2).sum(axis=2)
+    r2 = (_live_images(_displacements(points, p), eta) ** 2).sum(axis=2)
     with np.errstate(divide="ignore"):
         vals = _screened(r2 / (2.0 * eta * eta), _exp1)
     return vals.sum(axis=1) / (4.0 * math.pi)
@@ -136,20 +184,18 @@ def _image_sum(points: np.ndarray, p, eta: float) -> np.ndarray:
 
 def _image_sum_regular(points: np.ndarray, p, eta: float) -> np.ndarray:
     """Image sum plus (1/2 pi) log r of the nearest image (finite at p)."""
-    d = spectral.wrap_offset(np.atleast_2d(points) - np.asarray(p))
+    d = _displacements(points, p)
     r2 = (d ** 2).sum(axis=1)
     z_near = r2 / (2.0 * eta * eta)
     out = (_e1_plus_log(z_near) + math.log(2.0 * eta * eta)) / (4.0 * math.pi)
-    offs = np.array([o for o in _IMAGE_OFFSETS if o[0] != 0.0 or o[1] != 0.0])
-    far = ((d[:, None, :] + offs[None, :, :]) ** 2).sum(axis=2)
+    far = (_live_images(d, eta, _FAR_OFFSETS) ** 2).sum(axis=2)
     out += _screened(far / (2.0 * eta * eta), _exp1).sum(axis=1) / (4.0 * math.pi)
     return out
 
 
 def _image_gradient(points: np.ndarray, p, eta: float) -> np.ndarray:
     """Analytic gradient of the image sum; shape (m, 2)."""
-    d = spectral.wrap_offset(np.atleast_2d(points) - np.asarray(p))
-    dall = d[:, None, :] + _IMAGE_OFFSETS[None, :, :]
+    dall = _live_images(_displacements(points, p), eta)
     r2 = (dall ** 2).sum(axis=2)
     z = r2 / (2.0 * eta * eta)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -157,13 +203,18 @@ def _image_gradient(points: np.ndarray, p, eta: float) -> np.ndarray:
     return (w[:, :, None] * dall).sum(axis=1)
 
 
+def _phase(grid: TorusGrid, p) -> np.ndarray:
+    """e^{-2 pi i k.p} on the (n, n) mode grid: the modes of delta_p."""
+    kx, ky = grid.freqs()
+    return np.exp(-2j * np.pi * (kx * p[0] + ky * p[1]))
+
+
 def _screened_remainder_modes(grid: TorusGrid, p, eta: float) -> np.ndarray:
     """Modes of the band-limited remainder R_p: (4 pi^2 k^2) R = gamma_p,
     zero mode fixed so the assembled flat Green's function has zero mean."""
-    kx, ky = grid.freqs()
-    phase = np.exp(-2j * np.pi * (kx * p[0] + ky * p[1]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = phase * np.exp(-2.0 * np.pi ** 2 * eta ** 2 * grid.k2) / -grid.laplacian
+        out = (_phase(grid, p) * np.exp(-2.0 * np.pi ** 2 * eta ** 2 * grid.k2)
+               / -grid.laplacian)
     out[0, 0] = -eta * eta / 2.0
     return out
 
@@ -190,7 +241,6 @@ class SingularField:
         self.strengths = [float(s) for s in strengths]
         self.band = ScalarField.from_modes(grid, band_modes)
         self.const = float(const)
-        self._grid_values = None
 
     @property
     def log_coefficients(self) -> list[float]:
@@ -252,15 +302,12 @@ class SingularField:
         return out[0] if strengths is None else out
 
     def grid_values(self) -> np.ndarray:
-        """Raw grid values (+inf at grid-aligned singular points); computed
-        once per field and returned read-only.  The band's own values are
-        not kept beside them."""
-        if self._grid_values is None:
-            out = (spectral.to_values(self.band.modes).ravel() + self.const
-                   + self.image_values(self.grid.points()))
-            self._grid_values = out.reshape(self.grid.n, self.grid.n)
-            self._grid_values.flags.writeable = False
-        return self._grid_values
+        """Raw grid values, (n, n) (+inf at grid-aligned singular points).
+        Not kept on the field: a caller that needs them more than once
+        keeps them (testfn._StackEval, for one fit)."""
+        out = (spectral.to_values(self.band.modes).ravel() + self.const
+               + self.image_values(self.grid.points()))
+        return out.reshape(self.grid.n, self.grid.n)
 
     def singular_exp_values(self) -> np.ndarray:
         """Grid values of exp(sum_i s_i V_i), stable when all s_i = -4 pi.
@@ -274,9 +321,8 @@ class SingularField:
         for p, s in zip(self.points, self.strengths):
             if abs(s + 4.0 * math.pi) > 1e-12:
                 raise ConfigError("stable exponential needs strength -4 pi")
-            d = spectral.wrap_offset(pts - p)
-            r2 = ((d[:, None, :] + _IMAGE_OFFSETS[None, :, :]) ** 2).sum(axis=2)
-            z = r2 / (2.0 * self.eta * self.eta)
+            dall = _live_images(_displacements(pts, p), self.eta)
+            z = (dall ** 2).sum(axis=2) / (2.0 * self.eta * self.eta)
             out = out * np.prod(_exp_neg_e1(z), axis=1)
         return out.reshape(self.grid.n, self.grid.n)
 
@@ -284,16 +330,16 @@ class SingularField:
         """integral of (field * weight) dx, exact in mode space.
 
         The singular parts are integrated by Parseval with their analytic
-        Fourier coefficients, so no quadrature ever touches a log term.
+        Fourier coefficients, Re sum_k M_k conj(what_k) e^{-2 pi i k.p}
+        summed directly, so no quadrature ever touches a log term.
         Accurate to the spectral tail of the weight.
         """
         w_modes = np.conj(spectral.to_modes(weight_values))
-        mult = _point_green_mean_mult(self.grid, self.eta)
+        mult = _point_green_mean_mult(self.grid, self.eta) * w_modes
         total = self.const * float(np.real(w_modes[0, 0]))
         total += float(np.real(np.sum(self.band.modes * w_modes)))
         for p, s in zip(self.points, self.strengths):
-            val = spectral.eval_modes_at(self.grid, mult * w_modes,
-                                         -np.asarray(p)[None, :])[0]
+            val = np.sum(mult * _phase(self.grid, p))
             total += s * float(np.real(val))
         return total
 
@@ -569,12 +615,14 @@ def local_expansion(pair: GreenPair, which: int, at, rho_fit: float | None = Non
     dx = spectral.wrap_offset(X - at[0]).ravel()
     dy = spectral.wrap_offset(Y - at[1]).ravel()
     mask = dx ** 2 + dy ** 2 <= rho_fit ** 2
-    pts = np.stack([X.ravel()[mask], Y.ravel()[mask]], axis=1)
+    # the fit disc and, last, the pole itself in one evaluation
+    pts = np.stack([np.r_[X.ravel()[mask], pair.points[idx][0]],
+                    np.r_[Y.ravel()[mask], pair.points[idx][1]]], axis=1)
     vals = g.eval_regular(pts, idx)
-    coef, rms = polyfit_disc(dx[mask], dy[mask], vals, rho_fit)
+    A = vals[-1]
+    coef, rms = polyfit_disc(dx[mask], dy[mask], vals[:-1], rho_fit)
     c = _local_scale(pair.metric, at)
     a = g.log_coefficients[idx]
-    A = g.eval_regular(pair.points[idx][None, :], idx)[0]
     lam, mu = coef[1], coef[2]
     al, be, ga = coef[3], coef[4], coef[5]
     exp = LocalExpansion(

@@ -250,29 +250,42 @@ def _panel_nodes(edges: np.ndarray, order: int):
 
 
 class _StackEval:
-    """Batched exact evaluation of both Green's fields (+metric exponent)
-    at scattered points: one off-grid pass for all mode arrays, whose
-    oversampled grid is built once per evaluator (the stack is
+    """Batched exact evaluation of a pair's two Green's fields (+metric
+    exponent) at scattered points: one off-grid pass for all mode arrays,
+    whose oversampled grid is built once per evaluator (the stack is
     read-only), and one image sum per pole for both fields (a GreenPair's
     fields share their poles).  A call without gradients evaluates only
-    the value rows, a read-only view of every third row of the stack."""
+    the value rows, a read-only view of every third row of the stack.
 
-    def __init__(self, tf: TestFunctionPair):
-        grid = tf.metric.grid
+    It depends on the pair alone, so one evaluator serves every coupling
+    of a fit (_run_fit); it is not kept on the pair, whose retained
+    copies would each hold its oversampled grids (4.8 MB at n=128).  For
+    the same reason the fields' grid values are kept here, not on them."""
+
+    def __init__(self, pair: GreenPair):
+        metric = pair.metric
+        grid = metric.grid
         ikx, iky = grid.ik
         mats = []
-        self.fields = (tf.pair.G1, tf.pair.G2)
+        self.fields = (pair.G1, pair.G2)
         for g in self.fields:
             b = g.band.modes
             mats += [b, b * ikx, b * iky]
-        self.curved = not tf.metric.is_flat
+        self.curved = not metric.is_flat
         if self.curved:
-            mats.append(tf.metric.phi.modes)
+            mats.append(metric.phi.modes)
         self.stack = np.stack(mats)
         self.stack.flags.writeable = False
         self.value_rows = self.stack[::3]     # G1, G2 (and phi): no gradients
         self.strengths = np.array([g.strengths for g in self.fields])
         self.grid = grid
+        self._grid_values = {}
+
+    def grid_values(self, k: int) -> np.ndarray:
+        """Grid values of field k (1 or 2), computed on first use."""
+        if k not in self._grid_values:
+            self._grid_values[k] = self.fields[k - 1].grid_values()
+        return self._grid_values[k]
 
     def __call__(self, pts: np.ndarray, gradients: bool = True) -> dict:
         rows = 3 if gradients else 1        # stack rows per field
@@ -317,17 +330,19 @@ def _tilt_mass(metric: Metric, point, e: LocalExpansion) -> tuple:
 
 class _Phi0Evaluator:
     """One-shot evaluation context; builds node families, runs the
-    region quadratures, and assembles the functional with a breakdown."""
+    region quadratures, and assembles the functional with a breakdown.
+    `stack` is the pair's field evaluator, built here when not given."""
 
     def __init__(self, tf: TestFunctionPair, stitch: float = 2.0,
-                 theta: int = 96, tol: float = 1e-11):
+                 theta: int = 96, tol: float = 1e-11,
+                 stack: _StackEval | None = None):
         if not 2.0 <= stitch <= 4.0:
             raise ConfigError(f"stitch factor must lie in [2, 4], got {stitch}")
         self.tf = tf
         self.stitch = stitch
         self.theta = theta
         self.tol = tol
-        self.ev = _StackEval(tf)
+        self.ev = _StackEval(tf.pair) if stack is None else stack
         self.le = tf.L * tf.eps
         self.l1p = tf.log_one_plus_piL2
         # chart radii per point: bubble disc, stitch circle, outer cutoff knot
@@ -536,7 +551,7 @@ class _Phi0Evaluator:
         by eps^-2."""
         tf = self.tf
         grid = tf.metric.grid
-        gvals = tf.pair.field(k).grid_values()
+        gvals = self.ev.grid_values(k)
         X, Y = grid.mesh()
         p = tf.points[i]
         r = np.sqrt(spectral.wrap_offset(X - p[0]) ** 2
@@ -710,11 +725,17 @@ class _Phi0Evaluator:
 
 
 def evaluate_phi0(tf: TestFunctionPair, metric: Metric | None = None,
-                  stitch: float = 2.0) -> float:
-    """Value of the limiting functional on the test pair."""
+                  stitch: float = 2.0, stack: _StackEval | None = None
+                  ) -> float:
+    """Value of the limiting functional on the test pair.
+
+    stack, a _StackEval of tf's pair, is reused instead of built anew:
+    a fit over several couplings of one pair passes one."""
     if metric is not None and metric is not tf.metric:
         raise ConfigError("metric does not match the test pair's metric")
-    return _Phi0Evaluator(tf, stitch=stitch).run()["value"]
+    if stack is not None and stack.fields != (tf.pair.G1, tf.pair.G2):
+        raise ConfigError("field evaluator belongs to another pair")
+    return _Phi0Evaluator(tf, stitch=stitch, stack=stack).run()["value"]
 
 
 def phi0_breakdown(tf: TestFunctionPair, stitch: float = 2.0) -> dict:
@@ -812,9 +833,10 @@ def _run_fit(pair: GreenPair, metric: Metric, eps_list,
     with len(rows) - 3 degrees of freedom).
     """
     rows = []
+    stack = _StackEval(pair)      # its oversampled grids serve every row
     for eps in eps_list:
         tf = build_test_pair(pair, eps)
-        val = evaluate_phi0(tf, metric)
+        val = evaluate_phi0(tf, metric, stack=stack)
         g = eps * eps * (-math.log(eps * eps))
         rows.append({"eps": eps, "L": tf.L, "phi0": val,
                      "remainder": val - constant, "regressor": g})

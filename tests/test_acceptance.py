@@ -22,13 +22,14 @@ from todalab.diagnostics import sweep
 from todalab.functional import (CartanMatrix, SolverOptions, TodaState,
                                 el_residual, minimize_phi_eps, phi_eps,
                                 phi_eps_gradient, phi_general)
-from todalab.geometry import integrate, make_flat_torus
+from todalab.geometry import make_flat_torus
 from todalab.greens import (equation_residuals, extract_expansions,
                             green_pair_case1, green_pair_case2,
                             residual_sample_points)
 from todalab.spectral import ScalarField
 from todalab.testfn import (DEFAULT_EPS_LIST, asymptotic_fit_case1,
                             asymptotic_fit_case2)
+from torus_integrals import integrate
 
 PI = math.pi
 FOUR_PI = 4.0 * math.pi

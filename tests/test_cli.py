@@ -307,18 +307,37 @@ def test_imports_leave_scipy_special_and_integrate_unloaded():
     # scipy.special and scipy.integrate are imported where they are used:
     # loaded with the modules they cost every Phi_eps-only process and
     # every command about 24 MB and 50 MB
+    code = ("import todalab.functional, todalab.greens, todalab.testfn, "
+            "todalab.cli\n")
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_fits_leave_scipy_special_unloaded():
+    # E1 and the kernel transform's Bessel function are numpy code: a
+    # two-pole fit and a one-pole solve load no scipy.special
+    code = ("import numpy as np\n"
+            "from todalab import geometry, greens, testfn\n"
+            "m = geometry.make_flat_torus(32)\n"
+            "pair = greens.green_pair_case1((0.25, 0.25), (0.75, 0.75), m)\n"
+            "testfn.asymptotic_fit_case1(pair, m)\n"
+            "one = greens.green_pair_case2(np.array([0.5, 0.5]), m)\n"
+            "greens.extract_expansions(one)\n")
+    assert _scipy_modules_after(code) == "[]"
+
+
+def _scipy_modules_after(code: str) -> str:
+    """Which of scipy.special and scipy.integrate a fresh interpreter has
+    loaded after running code."""
     import subprocess
     import sys
 
     import todalab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(todalab.__file__)))
-    code = ("import sys\n"
-            "import todalab.functional, todalab.greens, todalab.testfn, "
-            "todalab.cli\n"
-            "print(sorted(m for m in ('scipy.special', 'scipy.integrate') "
-            "if m in sys.modules))\n")
+    code = ("import sys\n" + code
+            + "print(sorted(m for m in ('scipy.special', 'scipy.integrate') "
+              "if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()

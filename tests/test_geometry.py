@@ -6,14 +6,13 @@ import pytest
 from todalab.errors import (AccuracyError, ConfigError, DataError,
                             GeometryError, GridMismatchError)
 from todalab.geometry import (
-    integrate,
-    integrate_values,
     load_conformal_metric,
     make_conformal_metric,
     make_flat_torus,
     metric_expansion_at,
 )
 from todalab.spectral import ScalarField, TorusGrid, eval_at, eval_gradient_at
+from torus_integrals import integrate, integrate_values
 
 TWO_PI = 2.0 * math.pi
 

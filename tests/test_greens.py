@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from todalab.errors import ConfigError, ResolutionError
-from todalab.geometry import integrate_values, make_flat_torus
+from todalab.geometry import make_flat_torus
 from todalab.greens import (
     LocalExpansion,
     equation_residuals,
@@ -18,6 +18,7 @@ from todalab.greens import (
     residual_sample_points,
 )
 from todalab.spectral import TorusGrid
+from torus_integrals import integrate_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -240,3 +241,116 @@ def test_case2_sup_bounded(pair2_256):
     # G2 = 2 log r + ... is bounded above on the torus
     pts = residual_sample_points(pair2_256, 200, seed=11, margin=2 * pair2_256.grid.h)
     assert np.max(pair2_256.G2.eval(pts)) < 10.0
+
+
+# --- exponential integral and culled image sums ------------------------
+
+def e1_grid():
+    """A dense grid of (0, 40] with both sides of every branch edge."""
+    edges = np.array([0.5, 1.0, 2.0, 4.0, 10.0, 40.0])
+    near = np.concatenate([np.nextafter(edges, 0.0), edges,
+                           np.nextafter(edges, np.inf), edges * (1 - 1e-9),
+                           edges * (1 + 1e-9)])
+    z = np.concatenate([np.geomspace(1e-12, 1.0, 400),
+                        np.linspace(1e-3, 40.0, 4000), near])
+    return z[(z > 0.0) & (z <= 40.0)]
+
+
+def test_exponential_integral_matches_mpmath():
+    from todalab.greens import EULER_GAMMA, _e1_plus_log, _exp1, _exp_neg_e1
+
+    z = e1_grid()
+    with mpmath.workdps(40):
+        e1 = [mpmath.e1(mpmath.mpf(float(x))) for x in z]
+        refs = {
+            _exp1: [float(v) for v in e1],
+            _e1_plus_log: [float(v + mpmath.log(mpmath.mpf(float(x))))
+                           for v, x in zip(e1, z)],
+            _exp_neg_e1: [float(mpmath.exp(-v)) for v in e1],
+        }
+    for fn, ref in refs.items():
+        ref = np.array(ref)
+        # E1 + log z changes sign near z = 0.68: there the error is taken
+        # relative to the size of its parts, |E1 + log z| + gamma
+        scale = np.abs(ref) + (EULER_GAMMA if fn is _e1_plus_log else 0.0)
+        assert np.max(np.abs(fn(z) - ref) / scale) <= 2e-15, fn.__name__
+    assert _exp1(np.array([0.0]))[0] == np.inf
+    assert _exp_neg_e1(np.array([0.0]))[0] == 0.0
+
+
+def nine_image_terms(points, p, eta, offsets=None):
+    """Every image's displacement, r^2 and r^2 / 2 eta^2, nothing culled."""
+    from todalab.greens import _IMAGE_OFFSETS
+
+    offsets = _IMAGE_OFFSETS if offsets is None else offsets
+    d = (points - p + 0.5) % 1.0 - 0.5
+    dall = d[:, None, :] + offsets[None, :, :]
+    r2 = (dall ** 2).sum(axis=2)
+    return dall, r2, r2 / (2.0 * eta * eta)
+
+
+def image_batch(n, p, rng):
+    """Random points, points across the cell edges, and points on, just
+    inside and just outside the skip radius of the pole and its images."""
+    from todalab.greens import _Z_SKIP, split_width
+
+    r_skip = math.sqrt(2.0 * _Z_SKIP) * split_width(TorusGrid(n))
+    th = rng.uniform(0.0, TWO_PI, 30)
+    ring = np.concatenate([np.stack([np.cos(th), np.sin(th)], axis=1) * r
+                           for r in r_skip * np.array([1 - 1e-12, 1.0,
+                                                       1 + 1e-12])])
+    edge = np.array([[1.0 - 1e-13, 0.3], [0.3, 1.0 - 1e-13], [1e-13, 0.7],
+                     [-0.02, 0.5], [1.03, 1.01], [0.999, 0.001]])
+    return np.concatenate([rng.random((200, 2)), edge, p + ring,
+                           p + ring + np.array([1.0, 0.0])])
+
+
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_culled_image_sums_match_nine_images(n):
+    from todalab.greens import (_FAR_OFFSETS, _Z_SKIP, _e1_plus_log, _exp1,
+                                _exp_neg_e1, _image_gradient, _image_sum,
+                                _image_sum_regular, SingularField,
+                                split_width)
+
+    grid = TorusGrid(n)
+    eta = split_width(grid)
+    rng = np.random.default_rng(n)
+    p = np.array([0.93, 0.11])
+    pts = image_batch(n, p, rng)
+    dall, r2, z = nine_image_terms(pts, p, eta)
+    live = z < _Z_SKIP
+    single = live.sum(axis=1) <= 1
+
+    terms = np.where(live, _exp1(np.where(live, z, 1.0)), 0.0) / (4 * math.pi)
+    got = _image_sum(pts, p, eta)
+    assert np.all(np.abs(got - terms.sum(axis=1)) <= 1e-15 * got)
+    assert np.array_equal(got[single], terms.sum(axis=1)[single])
+
+    w = np.where(live, -np.exp(-z) / (2 * math.pi * r2), 0.0)
+    parts = w[:, :, None] * dall
+    ref = parts.sum(axis=1)
+    got = _image_gradient(pts, p, eta)
+    scale = np.abs(parts).sum(axis=1)
+    assert np.all(np.abs(got - ref) <= 1e-15 * scale)
+    assert np.array_equal(got[single], ref[single])
+
+    d = (pts - p + 0.5) % 1.0 - 0.5
+    z_near = (d ** 2).sum(axis=1) / (2 * eta * eta)
+    _, _, z_far = nine_image_terms(pts, p, eta, _FAR_OFFSETS)
+    far = np.where(z_far < _Z_SKIP, _exp1(np.minimum(z_far, _Z_SKIP)), 0.0)
+    ref = (_e1_plus_log(z_near) + math.log(2 * eta * eta)) / (4 * math.pi) \
+        + far.sum(axis=1) / (4 * math.pi)
+    got = _image_sum_regular(pts, p, eta)
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+    far_single = (z_far < _Z_SKIP).sum(axis=1) == 0
+    assert np.array_equal(got[far_single], ref[far_single])
+
+    # the stable exponential takes the product over every image
+    field = SingularField(grid, [p], [-4.0 * math.pi],
+                          np.zeros((n, n), dtype=complex))
+    _, _, z = nine_image_terms(grid.points(), p, eta)
+    ref = np.prod(_exp_neg_e1(z), axis=1).reshape(n, n)
+    got = field.singular_exp_values()
+    assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+    if n >= 64:
+        assert np.array_equal(got, ref)

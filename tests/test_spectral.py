@@ -231,7 +231,7 @@ def dense_mode_sum(stack, points):
 
 def offgrid_points(n, rng):
     """Random points, grid nodes, points on and across the 0/1 seam, and
-    negative coordinates (integral_against evaluates at -p)."""
+    negative coordinates."""
     h = 1.0 / n
     nodes = np.array([[0.0, 0.0], [h, 2 * h], [0.5, 0.75], [1 - h, 1 - h]])
     seam = np.array([[1.0 - 1e-13, 0.3], [0.3, 1.0 - 1e-13], [1e-13, 1e-13],
@@ -268,7 +268,7 @@ def test_offgrid_single_field_matches_dense_sum(n):
 def test_offgrid_curved_stack_matches_dense_sum():
     from todalab.geometry import make_conformal_metric
     from todalab.greens import extract_expansions, green_pair_case1
-    from todalab.testfn import _StackEval, build_test_pair
+    from todalab.testfn import _StackEval
 
     grid = TorusGrid(128)
     X, Y = grid.mesh()
@@ -276,7 +276,7 @@ def test_offgrid_curved_stack_matches_dense_sum():
         grid, 0.5 * np.cos(TWO_PI * X) * np.cos(TWO_PI * Y)))
     pair = green_pair_case1((0.25, 0.25), (0.75, 0.75), metric)
     extract_expansions(pair)
-    ev = _StackEval(build_test_pair(pair, 1e-3))
+    ev = _StackEval(pair)
     stack = ev.stack
     assert stack.shape == (7, 128, 128) and not stack.flags.writeable
     pts = offgrid_points(128, np.random.default_rng(1))
@@ -339,6 +339,21 @@ def test_offgrid_gradient_matches_dense_sum():
     got = eval_gradient_at(f, pts)
     assert got.shape == (pts.shape[0], 2)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_kernel_transform_bessel_matches_mpmath():
+    # e^{-s} I_1(s) enters the kernel's Fourier transform with
+    # s^2 = beta^2 - (pi W k / m)^2, |k| <= n / 2 = m / 4
+    import mpmath
+
+    beta = spectral._ES_BETA
+    s_min = math.sqrt(beta ** 2 - (math.pi * spectral._ES_WIDTH / 4) ** 2)
+    assert 34.0 < s_min < beta < 37.0
+    s = np.linspace(34.0, 37.0, 601)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.besseli(1, x) * mpmath.exp(-x))
+                        for x in map(mpmath.mpf, s)])
+    assert np.max(np.abs(spectral._ive1(s) - ref) / ref) <= 1e-15
 
 
 def test_multiplier_table_shared_and_read_only():

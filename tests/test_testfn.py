@@ -6,7 +6,7 @@ import pytest
 
 from todalab.bubble import lower_bound_case1, lower_bound_case2, case2_closing_constant
 from todalab.errors import AccuracyError, ConfigError, GeometryError
-from todalab.geometry import integrate, make_flat_torus
+from todalab.geometry import make_flat_torus
 from todalab.greens import extract_expansions, green_pair_case1, green_pair_case2
 from todalab.spectral import ScalarField, dirichlet_form
 from todalab.testfn import (
@@ -23,6 +23,7 @@ from todalab.testfn import (
     phi0_breakdown,
     smoothstep,
 )
+from torus_integrals import integrate
 
 FOUR_PI = 4.0 * math.pi
 
@@ -162,6 +163,16 @@ def test_metric_mismatch_rejected(pair1_128):
         evaluate_phi0(tf, make_flat_torus(128))  # a different Metric object
 
 
+def test_shared_field_evaluator(pair1_128):
+    # the rows of a fit share one evaluator, to the same bits as a fresh
+    # one per row; an evaluator of another pair is rejected
+    tf = build_test_pair(pair1_128, 1e-3)
+    assert evaluate_phi0(tf, stack=_StackEval(pair1_128)) == evaluate_phi0(tf)
+    other = green_pair_case1((0.25, 0.25), (0.75, 0.75), pair1_128.metric)
+    with pytest.raises(ConfigError):
+        evaluate_phi0(tf, stack=_StackEval(other))
+
+
 def test_deficit_targets_flat(pair1_128, pair2_256):
     d1 = deficit_data(pair1_128, pair1_128.metric)
     # flat metric, symmetric configuration: no curvature, no tilt
@@ -225,12 +236,12 @@ def test_fit_case2_report(pair2_256):
 
 def test_stack_eval_memory_peak():
     # one full-gradient call at 13824 points on the n=64 one-pole pair:
-    # image sums run in 1024-point batches and the off-grid contraction
-    # frees each 256-point gather before the next; both at once peaked
-    # at 9.3 MB here
+    # image sums run in 8192-point batches of live images only and the
+    # off-grid contraction frees each 256-point gather before the next;
+    # both at once peaked at 9.3 MB here
     pair = green_pair_case2(np.array([0.5, 0.5]), make_flat_torus(64))
     extract_expansions(pair)
-    ev = _StackEval(build_test_pair(pair, 1e-3))
+    ev = _StackEval(pair)
     pts = np.random.default_rng(0).random((13824, 2))
     tracemalloc.start()
     try:
