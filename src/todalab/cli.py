@@ -334,7 +334,7 @@ def _build_pair(cfg: RunConfig, metric: Metric):
     if len(cfg.points) == 2:
         return green_pair_case1(cfg.points[0], cfg.points[1], metric)
     if len(cfg.points) == 1:
-        return green_pair_case2(cfg.points[0], metric)
+        return green_pair_case2(cfg.points[0], metric, cfg.solver)
     raise ConfigError("green/testfn need one point (single-site case) or "
                       "two points (separated case) in the config")
 

@@ -14,18 +14,26 @@ They agree under the linear substitution v1 = (2 u1 + u2)/3,
 v2 = (u1 + 2 u2)/3 with both masses 4 pi - eps; the test suite asserts
 this identity on random states.
 
-The minimizer is truncated Newton-CG (run_descent, shared with the
-one-pole Green solve): each step solves H p = -g by CG with the
-(I - Delta_0)^{-1} preconditioner, exits on negative curvature, and is
+Both Newton solves of the package, minimize_phi_eps here and the one-pole
+Green solve in greens, minimize one family of functionals,
+
+  E(u) = (1/2) sum_ij a_ij integral grad u_i . grad u_j dx
+         + m sum_i integral u_i dV_g - m sum_i log integral e^{u_i} c dV_g,
+
+and one class, CoupledEnergy, gives run_descent its energy, gradient,
+Hessian-vector product, projection, stopping norm and ceiling.  The
+minimizer is truncated Newton-CG: each step solves H p = -g by CG with
+the (I - Delta_0)^{-1} preconditioner, exits on negative curvature, and is
 accepted by an Armijo test that tries the full step first.  The energy in
-that test is read as E(u) + [E(v) - E(u)] around the Newton iterate u
-(AnchoredEnergy), so it carries no cancellation.  Every iteration
-renormalizes (harmless by shift invariance); run_descent keeps a blow-up
-ceiling, stagnation detection and a nonincreasing energy trace.
+that test is read as E(u) + [E(v) - E(u)] around the Newton iterate u, so
+it carries no cancellation.  Every iteration renormalizes (harmless by
+shift invariance); run_descent keeps a blow-up ceiling, stagnation
+detection and a nonincreasing energy trace.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +46,8 @@ from .spectral import ScalarField, TorusGrid
 
 __all__ = [
     "CartanMatrix", "TodaState", "DescentReport", "SolverOptions",
-    "phi_general", "phi_eps", "phi_eps_gradient", "el_residual",
+    "CoupledEnergy", "phi_general", "phi_eps", "phi_eps_functional",
+    "phi_eps_gradient", "el_residual",
     "normalize_state", "minimize_phi_eps", "masses_admissible",
 ]
 
@@ -134,17 +143,40 @@ class DescentReport:
             rec[f"s{i}"] = si
         return rec
 
+    @classmethod
+    def from_raw(cls, raw: "RawDescent", weight: np.ndarray,
+                 el_residual: float | None = None,
+                 blowup_ratios: bool = False) -> "DescentReport":
+        """The report of a run_descent outcome: maxima and dV_g means of
+        the final fields and, with blowup_ratios, s_i = 1 + mean_i / max_i
+        where max_i > 0 (None elsewhere)."""
+        maxima = [float(np.max(x)) for x in raw.state]
+        means = [float(np.mean(x * weight)) for x in raw.state]
+        s = [1.0 + mb / m if blowup_ratios and m > 0 else None
+             for m, mb in zip(maxima, means)]
+        return cls(iterations=raw.iterations, energy_trace=raw.energy_trace,
+                   grad_norm=raw.grad_norm, el_residual=el_residual,
+                   maxima=maxima, means=means, s=s, blown_up=raw.blown_up,
+                   stagnated=raw.stagnated, converged=raw.converged,
+                   stop_reason=raw.stop_reason)
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     max_iter: int = 5000
     grad_tol: float = 1e-8
     ceiling: float = 40.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    max_backtracks: int = 60
-    stagnation_window: int = 50
-    stagnation_decrease: float = 1e-14
+
+
+# run_descent's line search halves s from 1 (_BACKTRACK) until the Armijo
+# test with factor _ARMIJO holds, at most _MAX_BACKTRACKS times; a run of
+# _STAGNATION_WINDOW accepted steps that each lower the energy by less
+# than _STAGNATION_DECREASE stops it
+_BACKTRACK = 0.5
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 60
+_STAGNATION_WINDOW = 50
+_STAGNATION_DECREASE = 1e-14
 
 
 def masses_admissible(masses) -> bool:
@@ -213,49 +245,6 @@ def phi_eps(u1: ScalarField, u2: ScalarField, eps: float, metric: Metric) -> flo
     return d + mean_term - log_term
 
 
-def _density(uv: np.ndarray, metric: Metric) -> np.ndarray:
-    """e^{u} w / mean(e^{u} w), evaluated max-shifted."""
-    t = uv + metric.phi.values
-    e = np.exp(t - float(np.max(t)))
-    return e / float(np.mean(e))
-
-
-def _phi_eps_grads(f1: ScalarField, f2: ScalarField, eps: float,
-                   metric: Metric) -> list[np.ndarray]:
-    """dx-gradients of phi_eps; the two share the fields' modes."""
-    rho = FOUR_PI - eps
-    grid = f1.grid
-    lap_a = spectral.to_values(grid.laplacian * (2.0 * f1.modes + f2.modes))
-    lap_b = spectral.to_values(grid.laplacian * (f1.modes + 2.0 * f2.modes))
-    return [-lap / 3.0 + rho * (metric.weight - _density(f.values, metric))
-            for f, lap in ((f1, lap_a), (f2, lap_b))]
-
-
-def _phi_eps_hvp(d: np.ndarray, eps: float, grid: TorusGrid):
-    """Hessian-vector product of phi_eps on dx-gradients, a function of a
-    (2, n, n) stack of directions h:
-
-      H h_i = -(1/3) Delta_0 (2 h_i + h_j) - rho (d_i h_i - d_i <d_i, h_i>),
-
-    d the (2, n, n) stack of _density at the state, rho = 4 pi - eps."""
-    rho = FOUR_PI - eps
-
-    def apply(h):
-        hm = spectral.to_modes(h)
-        lap = spectral.to_values(grid.laplacian * np.stack(
-            (2.0 * hm[0] + hm[1], hm[0] + 2.0 * hm[1])))
-        dh = d * h
-        return -lap / 3.0 - rho * (
-            dh - d * np.mean(dh, axis=(-2, -1), keepdims=True))
-    return apply
-
-
-def _phi_eps_core(u1v, u2v, eps, metric, grid):
-    """Energy (phi_eps) and dx-gradients from raw value arrays."""
-    f1, f2 = ScalarField(grid, u1v), ScalarField(grid, u2v)
-    return phi_eps(f1, f2, eps, metric), _phi_eps_grads(f1, f2, eps, metric)
-
-
 def phi_eps_gradient(u1: ScalarField, u2: ScalarField, eps: float,
                      metric: Metric) -> tuple[ScalarField, ScalarField]:
     """L^2(dV_g) gradient fields of Phi_eps.
@@ -265,11 +254,10 @@ def phi_eps_gradient(u1: ScalarField, u2: ScalarField, eps: float,
                               - (4 pi - eps) e^{u_other} - (4 pi - eps).
     """
     _check_eps(eps)
-    grid = u1.grid
-    grads_dx = _phi_eps_grads(u1, u2, eps, metric)
-    inv_w = 1.0 / metric.weight
-    return (ScalarField(grid, grads_dx[0] * inv_w),
-            ScalarField(grid, grads_dx[1] * inv_w))
+    _, grads = phi_eps_functional(metric, eps).energy_and_grad(
+        np.stack([u1.values, u2.values]))
+    g = grads / metric.weight
+    return ScalarField(u1.grid, g[0]), ScalarField(u1.grid, g[1])
 
 
 def el_residual(u1: ScalarField, u2: ScalarField, eps: float,
@@ -309,7 +297,7 @@ def _precondition(g: np.ndarray, grid: TorusGrid) -> np.ndarray:
 class RawDescent:
     """Low-level descent outcome on raw arrays."""
 
-    state: list[np.ndarray]
+    state: np.ndarray           # (F, n, n)
     energy_trace: list[float]
     iterations: int
     grad_norm: float
@@ -336,8 +324,7 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(float(np.mean(x * x)))
 
 
-def _newton_direction(grads: list[np.ndarray], hvp,
-                      grid: TorusGrid) -> list[np.ndarray]:
+def _newton_direction(grads, hvp, grid: TorusGrid) -> np.ndarray:
     """Truncated preconditioned CG for H p = -g on mean-free fields.
 
     H's null space is the constants, so r and z are made mean-free at
@@ -366,81 +353,158 @@ def _newton_direction(grads: list[np.ndarray], hvp,
         z = _mean_free(_precondition(r, grid))
         rz_next = float(np.mean(r * z))
         p, rz = z + (rz_next / rz) * p, rz_next
-    return list(_mean_free(x))
+    return _mean_free(x)
 
 
-class AnchoredEnergy:
-    """E(v) read as E(u) + [E(v) - E(u)] around an anchor u, for
+class CoupledEnergy:
+    """The functional of both Newton solves on (F, n, n) stacks u,
 
       E(u) = (1/2) sum_ij a_ij integral grad u_i . grad u_j dx
              + m sum_i integral u_i dV_g
-             - m sum_i log integral e^{u_i} c_i dV_g
+             - m sum_i log integral e^{u_i} c dV_g,
 
-    with fixed positive factors c_i (Phi_eps: a = (1/3)[[2, 1], [1, 2]],
-    m = 4 pi - eps, c = 1; the one-pole Green functional: a = [[1]],
-    m = 8 pi, c = e^s).  The bracket is formed from delta = v - u: the
-    Dirichlet cross and square terms, m mean(delta_i w) and
-    -m log1p(mean(d_i expm1(delta_i))), d_i the normalized density
-    e^{u_i} c_i w / mean(e^{u_i} c_i w) at the anchor, so it carries no
-    cancellation.  Near a minimizer a Newton step lowers E by far less
-    than the round-off of E evaluated directly, and an Armijo test on the
-    direct E could not tell that step from a rise.  A trial so far off
-    that e^{delta} overflows reads E = +-inf and is backtracked.  Before
-    the first anchor, E is direct(state, fields).
+    with an F x F coupling a, a mass m, the metric weight w and a fixed
+    positive factor c (Phi_eps: a = (1/3)[[2, 1], [1, 2]], m = 4 pi - eps,
+    c = 1; the one-pole Green functional: a = [[1]], m = 8 pi, c = e^s).
+    Its bound methods are what run_descent takes:
+
+      energy_and_grad  E and the dx-gradients
+                       g_i = -sum_j a_ij Delta_0 u_j + m (w - d_i),
+                       d_i = e^{u_i} c w / mean(e^{u_i} c w);
+      hessian          H h_i = -sum_j a_ij Delta_0 h_j
+                               - m (d_i h_i - d_i <d_i, h_i>)
+                       at the state, which becomes the anchor;
+      project          u_i - log mean(e^{u_i} c w), which leaves E as it is;
+      grad_norm        max |g / w|;
+      ceiling          max u.
+
+    Before the first anchor E is evaluated directly.  After it, E(v) is
+    read as E(u) + [E(v) - E(u)] around the anchor u, the bracket formed
+    from delta = v - u: the Dirichlet cross and square terms,
+    m mean(delta_i w) and -m log1p(mean(d_i expm1(delta_i))), d_i at the
+    anchor, so it carries no cancellation.  Near a minimizer a Newton step
+    lowers E by far less than the round-off of E evaluated directly, and
+    an Armijo test on the direct E could not tell that step from a rise.
+    A trial so far off that e^{delta} overflows reads E = +-inf and is
+    backtracked.
     """
 
-    def __init__(self, coupling, mass: float, weight: np.ndarray, direct):
-        self.coupling = coupling
-        self.mass = mass
+    def __init__(self, grid: TorusGrid, coupling, mass: float,
+                 weight: np.ndarray, factor=1.0):
+        self.grid = grid
+        self.coupling = np.asarray(coupling, dtype=float)
+        self.mass = float(mass)
         self.weight = weight
-        self.direct = direct
-        self._anchor = None
+        self.factor = factor
+        self._anchor = None     # (E, u, modes of u, d) at the Newton iterate
+        self._last = None       # (state, E, modes, d) of the last evaluation
 
-    def __call__(self, state: list[np.ndarray],
-                 fields: list[ScalarField]) -> float:
+    def _log_mean_and_density(self, u: np.ndarray):
+        """log mean(e^{u_i} c w), shape (F, 1, 1), and the densities d_i,
+        both max-shifted, so nothing overflows."""
+        top = np.max(u, axis=(-2, -1), keepdims=True)
+        e = np.exp(u - top) * self.factor * self.weight
+        mean = np.mean(e, axis=(-2, -1), keepdims=True)
+        # math.log per field: numpy's vectorized log may round differently
+        logs = np.reshape([math.log(x) for x in mean.ravel()], mean.shape)
+        return top + logs, e / mean
+
+    def _couple(self, x: np.ndarray) -> np.ndarray:
+        """sum_j a_ij x_j over an (F, n, n) stack."""
+        return np.einsum("ij,j...->i...", self.coupling, x)
+
+    def _dirichlet(self, um: np.ndarray, vm: np.ndarray) -> float:
+        """sum_ij a_ij integral grad u_i . grad v_j dx from the modes."""
+        pairs = np.real(np.sum((self.grid.dirichlet * um)[:, None]
+                               * np.conj(vm)[None], axis=(-2, -1)))
+        return float(np.sum(self.coupling * pairs))
+
+    def _energy(self, u: np.ndarray, um: np.ndarray,
+                log_mean: np.ndarray) -> float:
+        m, w = self.mass, self.weight
         if self._anchor is None:
-            return self.direct(state, fields)
-        energy, base, dens = self._anchor
-        a, idx = self.coupling, range(len(base))
-        deltas = [v - f.values for v, f in zip(state, base)]
-        dfs = [ScalarField(f.grid, dv) for f, dv in zip(base, deltas)]
-        cross = sum(a[i][j] * spectral.dirichlet_form(base[i], dfs[j])
-                    for i in idx for j in idx)
-        square = sum(a[i][j] * spectral.dirichlet_form(dfs[i], dfs[j])
-                     for i in idx for j in idx)
-        change = cross + 0.5 * square
-        for dv in deltas:
-            change += self.mass * float(np.mean(dv * self.weight))
-        for d, dv in zip(dens, deltas):
-            with np.errstate(over="ignore", divide="ignore"):
-                log_ratio = float(np.log1p(np.mean(d * np.expm1(dv))))
-            change -= self.mass * log_ratio
+            return (0.5 * self._dirichlet(um, um)
+                    + m * float(np.sum(np.mean(u * w, axis=(-2, -1))))
+                    - m * float(np.sum(log_mean)))
+        energy, base, base_modes, dens = self._anchor
+        delta = u - base
+        dm = spectral.to_modes(delta)
+        change = (self._dirichlet(base_modes, dm)
+                  + 0.5 * self._dirichlet(dm, dm))
+        change += m * float(np.sum(np.mean(delta * w, axis=(-2, -1))))
+        with np.errstate(over="ignore", divide="ignore"):
+            log_ratio = np.log1p(np.mean(dens * np.expm1(delta), axis=(-2, -1)))
+        change -= m * float(np.sum(log_ratio))
         return energy + change
 
-    def move(self, state: list[np.ndarray], fields: list[ScalarField],
-             densities) -> None:
-        """Anchor at the state (the current Newton iterate), whose
-        normalized densities d_i are given."""
-        self._anchor = (self(state, fields), fields, densities)
+    def energy_and_grad(self, state):
+        """(E, dx-gradients (F, n, n)) at the state."""
+        u = np.asarray(state, dtype=float)
+        um = spectral.to_modes(u)
+        log_mean, dens = self._log_mean_and_density(u)
+        energy = self._energy(u, um, log_mean)
+        lap = spectral.to_values(um * self.grid.laplacian)
+        grads = -self._couple(lap) + self.mass * (self.weight - dens)
+        self._last = (state, energy, um, dens)
+        return energy, grads
+
+    def hessian(self, state):
+        """The Hessian-vector product at the state, a function of an
+        (F, n, n) stack of directions; the state becomes the anchor."""
+        if self._last is None or self._last[0] is not state:
+            self.energy_and_grad(state)
+        _, energy, um, dens = self._last
+        self._anchor = (energy, np.asarray(state, dtype=float), um, dens)
+        return functools.partial(self._apply_hessian, dens)
+
+    def _apply_hessian(self, dens: np.ndarray, h: np.ndarray) -> np.ndarray:
+        lap = spectral.to_values(self.grid.laplacian * spectral.to_modes(h))
+        dh = dens * h
+        return -self._couple(lap) - self.mass * (
+            dh - dens * np.mean(dh, axis=(-2, -1), keepdims=True))
+
+    def log_normalizer(self, state) -> np.ndarray:
+        """log mean(e^{u_i} c w) per field, shape (F, 1, 1)."""
+        return self._log_mean_and_density(np.asarray(state, dtype=float))[0]
+
+    def project(self, state) -> np.ndarray:
+        u = np.asarray(state, dtype=float)
+        return u - self.log_normalizer(u)
+
+    def grad_norm(self, state, grads) -> float:
+        return float(np.max(np.abs(grads / self.weight)))
+
+    def ceiling(self, state) -> float:
+        return float(np.max(state))
 
 
-def run_descent(init: list[np.ndarray], grid: TorusGrid, energy_and_grad,
-                project, grad_norm_of, ceiling_of,
-                opts: SolverOptions, hessian) -> RawDescent:
+def phi_eps_functional(metric: Metric, eps: float) -> CoupledEnergy:
+    """Phi_eps as a CoupledEnergy: a = (1/3)[[2, 1], [1, 2]],
+    m = 4 pi - eps, c = 1."""
+    return CoupledEnergy(metric.grid, ((2.0 / 3.0, 1.0 / 3.0),
+                                       (1.0 / 3.0, 2.0 / 3.0)),
+                         FOUR_PI - eps, metric.weight)
+
+
+def run_descent(init, grid: TorusGrid, energy_and_grad, project,
+                grad_norm_of, ceiling_of, opts: SolverOptions,
+                hessian) -> RawDescent:
     """Truncated Newton-CG descent with Armijo backtracking.
 
-    energy_and_grad(state) -> (E, [dx-gradient arrays]);
+    init is an (F, n, n) stack or a list of F (n, n) arrays;
+    energy_and_grad(state) -> (E, dx-gradients);
     project(state) -> state (energy-neutral renormalization);
     grad_norm_of(state, grads) -> float used for the stopping test;
     ceiling_of(state) -> float compared against opts.ceiling;
     hessian(state) -> the Hessian-vector product at the state, a function
-    of an (F, n, n) stack of directions.
+    of an (F, n, n) stack of directions.  A CoupledEnergy's methods of
+    these names are such a set.
 
     Each search direction is a truncated Newton-CG step
     (_newton_direction); the line search tries s = 1 first and halves s
     until the Armijo test holds.
     """
-    state = project([np.array(x, dtype=float) for x in init])
+    state = project(np.array(init, dtype=float))
     energy, grads = energy_and_grad(state)
     if not np.isfinite(energy):
         raise SolverError("non-finite energy at the initial point", trace=[energy])
@@ -464,16 +528,16 @@ def run_descent(init: list[np.ndarray], grid: TorusGrid, energy_and_grad,
             break
         s = 1.0
         accepted = False
-        for _ in range(opts.max_backtracks):
-            trial = project([x + s * d for x, d in zip(state, direction)])
+        for _ in range(_MAX_BACKTRACKS):
+            trial = project(state + s * direction)
             e_trial, g_trial = energy_and_grad(trial)
             if not np.isfinite(e_trial):
-                s *= opts.backtrack
+                s *= _BACKTRACK
                 continue
-            if e_trial <= energy + opts.armijo * s * slope:
+            if e_trial <= energy + _ARMIJO * s * slope:
                 accepted = True
                 break
-            s *= opts.backtrack
+            s *= _BACKTRACK
         it += 1
         if not accepted:
             stagnated, reason = True, "line_search"
@@ -482,9 +546,9 @@ def run_descent(init: list[np.ndarray], grid: TorusGrid, energy_and_grad,
         state, energy, grads = trial, e_trial, g_trial
         trace.append(energy)
         gnorm = grad_norm_of(state, grads)
-        if decrease < opts.stagnation_decrease:
+        if decrease < _STAGNATION_DECREASE:
             stagnant += 1
-            if stagnant >= opts.stagnation_window:
+            if stagnant >= _STAGNATION_WINDOW:
                 stagnated, reason = True, "stagnation"
                 break
         else:
@@ -503,55 +567,23 @@ def minimize_phi_eps(init: TodaState, eps: float, metric: Metric,
                      opts: SolverOptions | None = None
                      ) -> tuple[TodaState, DescentReport]:
     """Minimize Phi_eps from the given state by Newton-CG steps
-    (run_descent with _phi_eps_hvp); eps must be positive."""
+    (run_descent with phi_eps_functional); eps must be positive."""
     _check_eps(eps, allow_zero=False)
     opts = opts or SolverOptions()
     if init.rank != 2:
         raise ConfigError("the reduced functional takes exactly two fields")
     grid = init.grid
-    inv_w = 1.0 / metric.weight
-    energy = AnchoredEnergy(
-        ((2.0 / 3.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0)), FOUR_PI - eps,
-        metric.weight,
-        lambda state, fields: phi_eps(*fields, eps, metric))
-
-    def fields_of(state):
-        return [ScalarField(grid, x) for x in state]
-
-    def energy_and_grad(state):
-        fields = fields_of(state)
-        return energy(state, fields), _phi_eps_grads(*fields, eps, metric)
-
-    def hessian(state):
-        d = np.stack([_density(x, metric) for x in state])
-        energy.move(state, fields_of(state), d)
-        return _phi_eps_hvp(d, eps, grid)
-
-    def project(state):
-        return [x - _log_int_exp(x, metric) for x in state]
-
-    def grad_norm_of(state, grads):
-        return max(float(np.max(np.abs(g * inv_w))) for g in grads)
-
-    def ceiling_of(state):
-        return max(float(np.max(x)) for x in state)
-
-    raw = run_descent([f.values for f in init.u], grid, energy_and_grad,
-                      project, grad_norm_of, ceiling_of, opts, hessian)
-
-    final = TodaState(u=tuple(fields_of(raw.state)), masses=init.masses)
+    energy = phi_eps_functional(metric, eps)
+    raw = run_descent([f.values for f in init.u], grid,
+                      energy.energy_and_grad, energy.project,
+                      energy.grad_norm, energy.ceiling, opts, energy.hessian)
+    final = TodaState(u=tuple(ScalarField(grid, x) for x in raw.state),
+                      masses=init.masses)
     resid = None
     if not raw.blown_up:
         # on fields of its own, so that the returned state does not keep
         # the modes el_residual computes
-        resid = el_residual(*fields_of(raw.state), eps, metric)
-    maxima = [float(np.max(x)) for x in raw.state]
-    means = [float(np.mean(x * metric.weight)) for x in raw.state]
-    s_vals = [1.0 + mb / m if m > 0 else None for m, mb in zip(maxima, means)]
-    report = DescentReport(
-        iterations=raw.iterations, energy_trace=raw.energy_trace,
-        grad_norm=raw.grad_norm, el_residual=resid, maxima=maxima,
-        means=means, s=s_vals, blown_up=raw.blown_up,
-        stagnated=raw.stagnated, converged=raw.converged,
-        stop_reason=raw.stop_reason)
-    return final, report
+        resid = el_residual(*(ScalarField(grid, x) for x in raw.state),
+                            eps, metric)
+    return final, DescentReport.from_raw(raw, metric.weight, resid,
+                                         blowup_ratios=True)

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import spectral
-from .errors import ConfigError, ResolutionError, SolverError
-from .functional import (AnchoredEnergy, DescentReport, SolverOptions,
+from .errors import ConfigError, ResolutionError
+from .functional import (CoupledEnergy, DescentReport, SolverOptions,
                          run_descent)
 from .geometry import Metric, polyfit_disc
 from .spectral import ScalarField, TorusGrid
@@ -470,8 +470,20 @@ def green_pair_case1(p1, p2, metric: Metric) -> GreenPair:
                      G1=G1, G2=G2)
 
 
-def green_pair_case2(p, metric: Metric, opts: SolverOptions | None = None,
-                     require_convergence: bool = False) -> GreenPair:
+def _pole_source(p, metric: Metric):
+    """The fixed part s = -4 pi Ghat(., p) of the one-point G2: the modes
+    rp of the screened remainder at p, s's band modes, and stable grid
+    values of e^{s} (the entire product times the band exponential)."""
+    grid = metric.grid
+    rp = _screened_remainder_modes(grid, p, split_width(grid))
+    s_band = -4.0 * math.pi * (rp + _metric_correction_modes(metric))
+    s_sing = SingularField(grid, [p], [-4.0 * math.pi], s_band)
+    es = s_sing.singular_exp_values() * np.exp(s_sing.band.values)
+    return rp, s_band, es
+
+
+def green_pair_case2(p, metric: Metric,
+                     opts: SolverOptions | None = None) -> GreenPair:
     """Solve the one-point nonlinear system.
 
     G2 is written as s + v with s = -4 pi Ghat(., p) carrying the 2 log r
@@ -483,104 +495,39 @@ def green_pair_case2(p, metric: Metric, opts: SolverOptions | None = None,
     whose critical points give -Delta_g (s+v) = 8 pi e^{s+v-logZ} - ... ,
     i.e. exactly the G2 equation after the Z-normalization shift.
 
-    F is minimized from v = 0 by run_descent with F's Hessian,
-
-        H h = -Delta_0 h - 8 pi (d h - d <d, h>),
-
-    d the normalized density e^{v+s} w / mean(e^{v+s} w): truncated
-    Newton-CG steps, each with an Armijo test on F.  From v = 0 it
-    reaches grad_tol 1e-8 in 6 steps at each of n = 64, 128, 256 and 512
-    on the flat torus.  The report is attached and, unless
-    require_convergence is set, a non-converged run still returns (the
-    caller decides how to treat it).
+    F is the CoupledEnergy with a = [[1]], m = 8 pi and c = e^s, minimized
+    from v = 0 by run_descent: truncated Newton-CG steps, each with an
+    Armijo test on F.  From v = 0 it reaches grad_tol 1e-8 in 6 steps at
+    each of n = 64, 128, 256 and 512 on the flat torus.  The report is
+    attached, and a non-converged run still returns (the caller decides
+    how to treat it).
     """
     grid = metric.grid
     p = np.asarray(p, dtype=float)
-    opts = opts or SolverOptions()
-    eta = split_width(grid)
-    rp = _screened_remainder_modes(grid, p, eta)
-    q = _metric_correction_modes(metric)
-    s_band = -4.0 * math.pi * (rp + q)
-    s_sing = SingularField(grid, [p], [-4.0 * math.pi], s_band)
-    # stable grid values of e^{s}: entire product times band exponential
-    es = s_sing.singular_exp_values() * np.exp(s_sing.band.values)
-    weight = metric.weight
-
-    def log_z(v):
-        mv = float(np.max(v))
-        return mv + math.log(float(np.mean(np.exp(v - mv) * es * weight)))
-
-    def density(v):
-        mv = float(np.max(v))
-        dens = np.exp(v - mv) * es * weight
-        return dens / float(np.mean(dens))
-
-    def direct_energy(state, fields):
-        return 0.5 * spectral.dirichlet_form(fields[0], fields[0]) \
-            + 8.0 * math.pi * float(np.mean(state[0] * weight)) \
-            - 8.0 * math.pi * log_z(state[0])
-
-    # F(v) is read as F(u) + [F(v) - F(u)] around the Newton iterate u
-    energy = AnchoredEnergy(((1.0,),), 8.0 * math.pi, weight, direct_energy)
-
-    def energy_and_grad(state):
-        f = ScalarField(grid, state[0])
-        lap = spectral.laplacian0(f).values
-        grad = -lap + 8.0 * math.pi * (weight - density(state[0]))
-        return energy(state, [f]), [grad]
-
-    def hessian(state):
-        v = state[0]
-        d = density(v)
-        energy.move(state, [ScalarField(grid, v)], [d])
-
-        def apply(h):                       # h: (1, n, n)
-            dh = d * h
-            lap = spectral.to_values(grid.laplacian * spectral.to_modes(h))
-            return -lap - 8.0 * math.pi * (
-                dh - d * np.mean(dh, axis=(-2, -1), keepdims=True))
-        return apply
-
-    def project(state):
-        return [state[0] - log_z(state[0])]
-
-    def grad_norm_of(state, grads):
-        return float(np.max(np.abs(grads[0] / weight)))
-
-    def ceiling_of(state):
-        return float(np.max(state[0]))
-
-    raw = run_descent([np.zeros((grid.n, grid.n))], grid, energy_and_grad,
-                      project, grad_norm_of, ceiling_of, opts,
-                      hessian=hessian)
-    if require_convergence and not raw.converged:
-        raise SolverError(
-            f"nonlinear Green solve did not converge ({raw.stop_reason})",
-            trace=raw.energy_trace)
+    rp, s_band, es = _pole_source(p, metric)
+    energy = CoupledEnergy(grid, ((1.0,),), 8.0 * math.pi, metric.weight, es)
+    raw = run_descent([np.zeros((grid.n, grid.n))], grid,
+                      energy.energy_and_grad, energy.project,
+                      energy.grad_norm, energy.ceiling,
+                      opts or SolverOptions(), energy.hessian)
 
     v = raw.state[0]
-    shift = log_z(v)  # residual normalization shift (projected, so ~0)
+    # residual normalization shift (projected, so ~0)
+    shift = float(energy.log_normalizer(raw.state)[0, 0, 0])
     G2 = SingularField(grid, [p], [-4.0 * math.pi],
                        s_band + spectral.to_modes(v), const=-shift)
     eg2 = np.exp(v - shift) * es
     mean_g2 = G2.mean_dVg(metric)
 
     # linear G1 equation: -Delta_0 G1 = 8 pi delta_p - 4 pi e^{G2+phi} - 4 pi e^phi
+    weight = metric.weight
     rhs = 4.0 * math.pi * eg2 * weight + 4.0 * math.pi * weight - 8.0 * math.pi
     w1 = spectral.solve_poisson0(ScalarField(grid, rhs), mean_tol=1e-7)
     G1 = SingularField(grid, [p], [8.0 * math.pi], 8.0 * math.pi * rp + w1.modes)
     G1 = G1.shifted(-G1.mean_dVg(metric))
-
-    maxima = [float(np.max(v))]
-    means = [float(np.mean(v * weight))]
-    report = DescentReport(
-        iterations=raw.iterations, energy_trace=raw.energy_trace,
-        grad_norm=raw.grad_norm, el_residual=None, maxima=maxima,
-        means=means, s=[None], blown_up=raw.blown_up,
-        stagnated=raw.stagnated, converged=raw.converged,
-        stop_reason=raw.stop_reason)
     return GreenPair(case_tag="two", points=[p], metric=metric, G1=G1, G2=G2,
-                     mean_G2=mean_g2, exp_G2_values=eg2, descent=report)
+                     mean_G2=mean_g2, exp_G2_values=eg2,
+                     descent=DescentReport.from_raw(raw, weight))
 
 
 def local_expansion(pair: GreenPair, which: int, at, rho_fit: float | None = None
@@ -655,18 +602,22 @@ def expansion_trace_residual(exp: LocalExpansion) -> float:
     return abs(exp.alpha + exp.beta - 2.0 * math.pi)
 
 
-def _fd_laplacian(eval_fn, pts: np.ndarray, h_loc: float) -> np.ndarray:
-    """4th-order cross-stencil Laplacian of a point-evaluable field."""
-    ex = np.array([1.0, 0.0])
-    ey = np.array([0.0, 1.0])
-    center = eval_fn(pts)
-    out = np.zeros(pts.shape[0])
-    for e in (ex, ey):
-        acc = (-eval_fn(pts + 2 * h_loc * e) + 16.0 * eval_fn(pts + h_loc * e)
-               - 30.0 * center
-               + 16.0 * eval_fn(pts - h_loc * e) - eval_fn(pts - 2 * h_loc * e))
+def _fd_laplacian(eval_fn, pts: np.ndarray, h_loc: float):
+    """4th-order cross-stencil Laplacian of a point-evaluable field, and
+    the field's values at the points: one eval_fn call on all nine
+    stencil offsets."""
+    count = pts.shape[0]
+    shifts = [0.0] + [c * h_loc * e for e in (np.array([1.0, 0.0]),
+                                               np.array([0.0, 1.0]))
+                      for c in (2, 1, -1, -2)]
+    vals = eval_fn(np.concatenate([pts + d for d in shifts]))
+    vals = vals.reshape(9, count)
+    center = vals[0]
+    out = np.zeros(count)
+    for p2, p1, m1, m2 in (vals[1:5], vals[5:9]):
+        acc = -p2 + 16.0 * p1 - 30.0 * center + 16.0 * m1 - m2
         out += acc / (12.0 * h_loc * h_loc)
-    return out
+    return out, center
 
 
 def residual_sample_points(pair: GreenPair, count: int, seed: int = 7,
@@ -700,15 +651,16 @@ def equation_residuals(pair: GreenPair, count: int = 200, seed: int = 7,
         inv_w = np.ones(pts.shape[0])
     else:
         inv_w = np.exp(-spectral.eval_at(metric.phi, pts))
-    lap1 = _fd_laplacian(pair.G1.eval, pts, h_loc) * inv_w
-    lap2 = _fd_laplacian(pair.G2.eval, pts, h_loc) * inv_w
+    lap1 = _fd_laplacian(pair.G1.eval, pts, h_loc)[0] * inv_w
+    lap2, g2 = _fd_laplacian(pair.G2.eval, pts, h_loc)
+    lap2 = lap2 * inv_w
     out = {"mean_G1": pair.G1.mean_dVg(metric)}
     if pair.case_tag == "one":
         out["residual_G1"] = float(np.max(np.abs(-lap1 + 4.0 * math.pi)))
         out["residual_G2"] = float(np.max(np.abs(-lap2 + 4.0 * math.pi)))
         out["mean_G2"] = pair.G2.mean_dVg(metric)
     else:
-        eg2 = np.exp(pair.G2.eval(pts))
+        eg2 = np.exp(g2)
         out["residual_G1"] = float(np.max(np.abs(
             -lap1 + 4.0 * math.pi * eg2 + 4.0 * math.pi)))
         out["residual_G2"] = float(np.max(np.abs(

@@ -40,7 +40,7 @@ import numpy as np
 from . import spectral
 from .bubble import (bubble_dirichlet_energy, lower_bound_case1,
                      lower_bound_case2, case2_closing_constant)
-from .errors import AccuracyError, ConfigError, GeometryError
+from .errors import AccuracyError, ConfigError, GeometryError, SolverError
 from .geometry import Metric, metric_expansion_at
 from .greens import GreenPair, LocalExpansion, extract_expansions
 from .spectral import ScalarField
@@ -873,8 +873,9 @@ def asymptotic_fit_case2(pair: GreenPair, metric: Metric,
     constants (they differ in the literature-facing bookkeeping and are
     never merged)."""
     eps_list = _check_eps_list(eps_list)
-    if pair.descent is not None and pair.descent.blown_up:
-        raise ConfigError("one-point pair did not converge")
+    if pair.descent is not None and not pair.descent.converged:
+        raise SolverError(f"one-point pair did not converge "
+                          f"({pair.descent.stop_reason})")
     _require_expansions(pair)
     const = lower_bound_case2(pair.expansions[(1, 0)].A, pair.mean_G2)
     alt = case2_closing_constant(pair.mean_G2)

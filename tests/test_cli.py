@@ -226,6 +226,28 @@ def test_green_case1(tmp_path, capsys):
     assert payload["case"] == "one"
 
 
+def test_green_one_point_honours_solver_options(tmp_path, capsys):
+    path = write_config(
+        tmp_path, "grid.n = 64\npoints = 0.5,0.5\n"
+        "solver.max_iter = 1\nsolver.grad_tol = 1e-3\n")
+    assert main(["green", "--config", path, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    descent = json.loads((tmp_path / "green.json").read_text())["descent"]
+    assert descent["iterations"] == 1
+    assert descent["stop_reason"] == "max_iter"
+
+
+def test_testfn_unconverged_one_point_exits_2_with_one_line(tmp_path, capsys):
+    path = write_config(
+        tmp_path, "grid.n = 64\npoints = 0.5,0.5\nsolver.max_iter = 1\n"
+        "testfn.eps_list = 1e-2,3e-3,1e-3,3e-4\n")
+    assert main(["testfn", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: one-point pair did not converge "
+                   "(max_iter)\n")
+    assert not (tmp_path / "testfn.json").exists()
+
+
 def test_green_needs_points(tmp_path, capsys):
     path = write_config(tmp_path, "grid.n = 128\n")
     assert main(["green", "--config", path]) == 64

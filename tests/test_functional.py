@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import i0
 
-from todalab import spectral
+from todalab import functional, spectral
 from todalab.errors import ConfigError, GridMismatchError
 from todalab.functional import (
     CartanMatrix,
+    CoupledEnergy,
     SolverOptions,
     TodaState,
     el_residual,
@@ -17,6 +18,7 @@ from todalab.functional import (
     minimize_phi_eps,
     normalize_state,
     phi_eps,
+    phi_eps_functional,
     phi_eps_gradient,
     phi_general,
     run_descent,
@@ -326,14 +328,14 @@ def test_minimize_stagnation_is_flagged():
     grid = TorusGrid(16)
     x, y = grid.mesh()
     b = 1e-4 * (np.cos(2 * np.pi * x) + 0.5 * np.sin(2 * np.pi * (x + 2 * y)))
-    opts = SolverOptions()
     raw = _descend_quadratic(grid, b, 1e6)
     assert raw.stagnated and not raw.converged
     assert raw.stop_reason == "stagnation"
-    assert raw.iterations == opts.stagnation_window
+    assert raw.iterations == functional._STAGNATION_WINDOW
     assert raw.grad_norm > 1e-5
     steps = -np.diff(raw.energy_trace)
-    assert np.all(steps >= 0.0) and np.all(steps < opts.stagnation_decrease)
+    assert np.all(steps >= 0.0)
+    assert np.all(steps < functional._STAGNATION_DECREASE)
 
 
 def test_minimize_eps_sweep_stays_bounded(flat64):
@@ -401,14 +403,16 @@ def test_planted_lump_relaxes():
 
 
 def test_phi_eps_is_the_core_energy_on_a_curved_metric():
-    from todalab.functional import _phi_eps_core
-
+    # the energy minimize_phi_eps descends on is phi_eps; the two are
+    # evaluated by different formulas, so they agree to round-off
     metric = _cosine_metric(64)
     grid = metric.grid
     rng = np.random.default_rng(12)
     u1, u2 = rand_smooth(grid, rng), rand_smooth(grid, rng)
-    energy, _ = _phi_eps_core(u1.values, u2.values, 0.7, metric, grid)
-    assert phi_eps(u1, u2, 0.7, metric) == energy
+    energy, _ = phi_eps_functional(metric, 0.7).energy_and_grad(
+        np.stack([u1.values, u2.values]))
+    assert energy == pytest.approx(phi_eps(u1, u2, 0.7, metric),
+                                   rel=1e-14, abs=1e-14)
 
 
 def _cosine_metric(n):
@@ -420,26 +424,38 @@ def _cosine_metric(n):
         grid, 0.5 * np.cos(TWO_PI * X) * np.cos(TWO_PI * Y)))
 
 
-def test_phi_eps_hessian_matches_central_differences():
-    from todalab.functional import _density, _phi_eps_core, _phi_eps_hvp
-
-    metric = _cosine_metric(32)
-    grid = metric.grid
+def _check_hessian(energy):
+    """energy.hessian against central differences of its gradient."""
+    grid = energy.grid
+    fields = energy.coupling.shape[0]
     rng = np.random.default_rng(40)
-    eps = 1.0
-    u = np.stack([rand_smooth(grid, rng).values for _ in range(2)])
-    d = np.stack([_density(x, metric) for x in u])
-    hvp = _phi_eps_hvp(d, eps, grid)
+    u = np.stack([rand_smooth(grid, rng).values for _ in range(fields)])
+    hvp = energy.hessian(u)
     t = 1e-5
     for _ in range(3):
         h = np.stack([rand_smooth(grid, rng, amp=1.0).values
-                      for _ in range(2)])
+                      for _ in range(fields)])
         h -= np.mean(h, axis=(-2, -1), keepdims=True)
-        _, up = _phi_eps_core(*(u + t * h), eps, metric, grid)
-        _, dn = _phi_eps_core(*(u - t * h), eps, metric, grid)
-        fd = (np.stack(up) - np.stack(dn)) / (2 * t)
+        _, up = energy.energy_and_grad(u + t * h)
+        _, dn = energy.energy_and_grad(u - t * h)
+        fd = (up - dn) / (2 * t)
         got = hvp(h)
         assert np.max(np.abs(got - fd)) < 1e-8 * np.max(np.abs(got))
+
+
+def test_phi_eps_hessian_matches_central_differences():
+    _check_hessian(phi_eps_functional(_cosine_metric(32), 1.0))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_one_pole_hessian_matches_central_differences(n):
+    # F(v) of greens.green_pair_case2: a = [[1]], m = 8 pi, c = e^s
+    from todalab.greens import _pole_source
+
+    metric = make_flat_torus(n)
+    _, _, es = _pole_source(np.array([0.5, 0.5]), metric)
+    _check_hessian(CoupledEnergy(metric.grid, ((1.0,),), 8.0 * math.pi,
+                                 metric.weight, es))
 
 
 def _smooth_start(rng, x, y, scale):

@@ -94,6 +94,21 @@ def test_case1_residuals_off_discs(pair1_128):
     assert res["residual_G2"] < 1e-4
 
 
+def test_residuals_build_one_oversampled_grid_per_field(monkeypatch):
+    # the stencil evaluates each field once on all nine offsets, so a
+    # pair costs two oversampled band grids, not eighteen
+    from todalab import spectral
+
+    pair = green_pair_case2(np.array([0.5, 0.5]), make_flat_torus(64))
+    calls = []
+    real = spectral._oversampled
+    monkeypatch.setattr(spectral, "_oversampled",
+                        lambda *args: calls.append(1) or real(*args))
+    res = equation_residuals(pair, count=50)
+    assert len(calls) == 2
+    assert max(res["residual_G1"], res["residual_G2"]) < 1e-4
+
+
 def test_case1_swap_symmetry(pair1_128):
     metric = pair1_128.metric
     p1, p2 = pair1_128.points

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from todalab.bubble import lower_bound_case1, lower_bound_case2, case2_closing_constant
-from todalab.errors import AccuracyError, ConfigError, GeometryError
+from todalab.errors import AccuracyError, ConfigError, GeometryError, SolverError
+from todalab.functional import SolverOptions
 from todalab.geometry import make_flat_torus
 from todalab.greens import extract_expansions, green_pair_case1, green_pair_case2
 from todalab.spectral import ScalarField, dirichlet_form
@@ -232,6 +233,17 @@ def test_fit_case2_report(pair2_256):
     assert report.target_slope == pytest.approx(-1.0, abs=1e-8)
     vals = [row["phi0"] for row in report.rows]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_fit_case2_rejects_an_unconverged_pair():
+    # a pair stopped by max_iter is no solution of the G2 equation, and a
+    # fit on it would report a meaningless slope
+    metric = make_flat_torus(64)
+    pair = green_pair_case2(np.array([0.5, 0.5]), metric,
+                            SolverOptions(max_iter=2))
+    assert pair.descent.stop_reason == "max_iter"
+    with pytest.raises(SolverError, match=r"did not converge \(max_iter\)"):
+        asymptotic_fit_case2(pair, metric)
 
 
 def test_stack_eval_memory_peak():
