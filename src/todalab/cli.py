@@ -47,7 +47,7 @@ _DEFAULTS = {
     "solver.max_iter": "5000",
     "solver.grad_tol": "1e-8",
     "solver.ceiling": "40.0",
-    "testfn.eps_list": "1e-2,3.1622776601683794e-3,1e-3",
+    "testfn.eps_list": ",".join(map(repr, testfn.DEFAULT_EPS_LIST)),
     "testfn.L_coupling": "auto",
     "sweep.eps_list": "1.0,0.5,0.25,0.1,0.05",
     "output.dir": ".",
@@ -358,6 +358,10 @@ def cmd_green(cfg: RunConfig) -> int:
     path = _write_report(cfg, "green", payload, rows_key="expansions")
     print(f"green: case {pair.case_tag}, {len(rows)} expansions; "
           f"report: {path}")
+    if pair.descent is not None and not pair.descent.converged:
+        print(f"numerical failure: one-point pair did not converge "
+              f"({pair.descent.stop_reason})", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -414,7 +414,8 @@ class CoupledEnergy:
         return np.einsum("ij,j...->i...", self.coupling, x)
 
     def _dirichlet(self, um: np.ndarray, vm: np.ndarray) -> float:
-        """sum_ij a_ij integral grad u_i . grad v_j dx from the modes."""
+        """sum_ij a_ij integral grad u_i . grad v_j dx from the modes
+        (Parseval, the column weights carried by grid.dirichlet)."""
         pairs = np.real(np.sum((self.grid.dirichlet * um)[:, None]
                                * np.conj(vm)[None], axis=(-2, -1)))
         return float(np.sum(self.coupling * pairs))

@@ -204,7 +204,7 @@ def _image_gradient(points: np.ndarray, p, eta: float) -> np.ndarray:
 
 
 def _phase(grid: TorusGrid, p) -> np.ndarray:
-    """e^{-2 pi i k.p} on the (n, n) mode grid: the modes of delta_p."""
+    """e^{-2 pi i k.p} on the (n, n/2 + 1) mode grid: the modes of delta_p."""
     kx, ky = grid.freqs()
     return np.exp(-2j * np.pi * (kx * p[0] + ky * p[1]))
 
@@ -331,10 +331,12 @@ class SingularField:
 
         The singular parts are integrated by Parseval with their analytic
         Fourier coefficients, Re sum_k M_k conj(what_k) e^{-2 pi i k.p}
-        summed directly, so no quadrature ever touches a log term.
-        Accurate to the spectral tail of the weight.
+        summed directly over the half spectrum with the Parseval column
+        weights, so no quadrature ever touches a log term.  Accurate to
+        the spectral tail of the weight.
         """
-        w_modes = np.conj(spectral.to_modes(weight_values))
+        w_modes = (np.conj(spectral.to_modes(weight_values))
+                   * self.grid.parseval)
         mult = _point_green_mean_mult(self.grid, self.eta) * w_modes
         total = self.const * float(np.real(w_modes[0, 0]))
         total += float(np.real(np.sum(self.band.modes * w_modes)))
@@ -435,7 +437,7 @@ def _metric_correction_modes(metric: Metric) -> np.ndarray:
     """Modes of q with Delta_0 q = e^phi - 1 (zero for the flat torus)."""
     grid = metric.grid
     if metric.is_flat:
-        return np.zeros((grid.n, grid.n), dtype=complex)
+        return np.zeros(grid.mode_shape, dtype=complex)
     rhs = ScalarField(grid, metric.weight - 1.0)
     return spectral.solve_poisson0(rhs).modes
 

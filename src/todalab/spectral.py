@@ -5,22 +5,29 @@ Conventions
 The torus is [0,1)^2 with unit cell area 1.  A field holds grid values
 ``f[i, j] = f(i*h, j*h)`` with ``h = 1/n``, spectral coefficients, or
 both: it is built from either, and the other is computed on first read
-and cached.  The coefficients are normalized so that
+and cached.  Fields are real, so the modes are the half spectrum
+``fhat = rfft2(values) / n**2``, an (n, n/2 + 1) array with rows k_x in
+``fftfreq`` order (row n/2 is k_x = -n/2) and columns k_y = 0 .. n/2;
+the other half is ``fhat[-k] = conj(fhat[k])`` and
 
-    f(x, y) = sum_k  fhat[k1, k2] * exp(2*pi*i*(k1*x + k2*y)),
+    f(x, y) = sum over all k of fhat[k1, k2] * exp(2*pi*i*(k1*x + k2*y)).
 
-i.e. ``fhat = fft2(values) / n**2``.  With this normalization Parseval
-reads ``integral(f * conj(g)) = sum_k fhat_k * conj(ghat_k)``.
+Parseval therefore weights the interior columns 0 < k_y < n/2 by 2:
+``integral(f * g) = Re sum_k c_k fhat_k * conj(ghat_k)`` with
+``c = TorusGrid.parseval``.
 
-First derivatives zero the Nyquist column/row (the standard symmetric
-choice for real transforms); the Laplacian keeps the full multiplier
-``-4*pi^2*|k|^2``, which is exact on every representable mode.
+Nyquist: first derivatives zero the k_x = -n/2 row and the k_y = n/2
+column (the standard symmetric choice for real transforms); the
+Laplacian keeps the full multiplier ``-4*pi^2*|k|^2``, which is exact on
+every representable mode.  Off the grid (``eval_modes_stack_at``) each
+Nyquist coefficient is split evenly between +n/2 and -n/2, the real
+symmetric interpolant of the grid values.
 
 This module is the only one that calls ``np.fft``: other modules move
 between values and modes with ``to_modes``/``to_values`` and take their
 Fourier multipliers from the grid's table (``TorusGrid.k2``,
-``laplacian``, ``ik``, ``dirichlet``), which is built once per grid and
-is read-only.
+``laplacian``, ``ik``, ``dirichlet``, ``parseval``), which is built once
+per grid and is read-only.
 """
 
 from __future__ import annotations
@@ -71,23 +78,32 @@ class TorusGrid:
         X, Y = self.mesh()
         return np.stack([X.ravel(), Y.ravel()], axis=1)
 
+    @property
+    def mode_shape(self) -> tuple[int, int]:
+        """Shape of a field's half-spectrum mode array, (n, n/2 + 1)."""
+        return self.n, self.n // 2 + 1
+
     def freqs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer frequencies as broadcastable (n,1) and (1,n) arrays."""
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        return k[:, None], k[None, :]
+        """Integer frequencies of the mode array as broadcastable (n, 1)
+        and (1, n/2 + 1) arrays: k_x in fftfreq order, k_y = 0 .. n/2."""
+        n = self.n
+        kx = np.fft.fftfreq(n, d=1.0 / n)
+        ky = np.arange(n // 2 + 1, dtype=float)
+        return kx[:, None], ky[None, :]
 
     def _deriv_freqs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frequencies for first derivatives: Nyquist entry zeroed."""
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        k[self.n // 2] = 0.0
-        return k[:, None], k[None, :]
+        """Frequencies for first derivatives: Nyquist row and column zeroed."""
+        kx, ky = self.freqs()
+        kx[self.n // 2, 0] = 0.0
+        ky[0, self.n // 2] = 0.0
+        return kx, ky
 
     # The multiplier table: each entry is built on first use, kept on the
     # grid and shared, read-only, by every field and operator on it.
 
     @cached_property
     def k2(self) -> np.ndarray:
-        """|k|^2 on the (n, n) mode grid."""
+        """|k|^2 on the (n, n/2 + 1) mode grid."""
         kx, ky = self.freqs()
         return _read_only(kx ** 2 + ky ** 2)
 
@@ -99,16 +115,26 @@ class TorusGrid:
     @cached_property
     def ik(self) -> tuple[np.ndarray, np.ndarray]:
         """2 pi i k_x and 2 pi i k_y of first derivatives, Nyquist zeroed,
-        as broadcastable (n, 1) and (1, n) arrays."""
+        as broadcastable (n, 1) and (1, n/2 + 1) arrays."""
         kx, ky = self._deriv_freqs()
         return _read_only(2j * np.pi * kx), _read_only(2j * np.pi * ky)
 
     @cached_property
+    def parseval(self) -> np.ndarray:
+        """Parseval's column weights, (1, n/2 + 1): 2 on the interior
+        columns 0 < k_y < n/2, which stand for their conjugates too, and
+        1 on k_y = 0 and n/2."""
+        c = np.full((1, self.n // 2 + 1), 2.0)
+        c[0, 0] = c[0, -1] = 1.0
+        return _read_only(c)
+
+    @cached_property
     def dirichlet(self) -> np.ndarray:
-        """4 pi^2 |k|^2 with the derivatives' Nyquist rule: the Dirichlet
-        form's multiplier."""
+        """4 pi^2 |k|^2 with the derivatives' Nyquist rule, times the
+        Parseval weights: the Dirichlet form's multiplier."""
         kx, ky = self._deriv_freqs()
-        return _read_only(4.0 * np.pi ** 2 * (kx ** 2 + ky ** 2))
+        return _read_only(4.0 * np.pi ** 2 * (kx ** 2 + ky ** 2)
+                          * self.parseval)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -117,13 +143,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def to_modes(values: np.ndarray) -> np.ndarray:
-    """Modes of (..., m, m) grid values: fft2(values) / m^2."""
-    return np.fft.fft2(values) / values.shape[-1] ** 2
+    """Half-spectrum modes (..., m, m/2 + 1) of (..., m, m) grid values:
+    rfft2(values) / m^2 (the power-of-two scaling is exact)."""
+    return np.fft.rfft2(values, norm="forward")
 
 
 def to_values(modes: np.ndarray) -> np.ndarray:
-    """Real grid values of (..., m, m) modes: Re ifft2(modes) * m^2."""
-    return np.fft.ifft2(modes).real * modes.shape[-1] ** 2
+    """Grid values (..., m, m) of (..., m, m/2 + 1) modes:
+    irfft2(modes) * m^2."""
+    m = modes.shape[-2]
+    return np.fft.irfft2(modes, s=(m, m), norm="forward")
 
 
 class ScalarField:
@@ -145,7 +174,7 @@ class ScalarField:
     @classmethod
     def from_modes(cls, grid: TorusGrid, modes: np.ndarray) -> "ScalarField":
         modes = np.asarray(modes, dtype=complex)
-        if modes.shape != (grid.n, grid.n):
+        if modes.shape != grid.mode_shape:
             raise GridMismatchError(
                 f"modes shape {modes.shape} does not match grid n={grid.n}")
         field = cls.__new__(cls)
@@ -231,26 +260,38 @@ def gradient0(f: ScalarField) -> VectorField:
 def dirichlet_form(f: ScalarField, g: ScalarField) -> float:
     """integral of grad f . grad g over the torus (flat area element).
 
-    Computed in mode space; uses the same Nyquist-zeroed derivative
-    frequencies as gradient0 so that the Parseval identity against grid
-    quadrature of the gradients holds to round-off.
+    Computed in mode space, with the Parseval column weights; uses the
+    same Nyquist-zeroed derivative frequencies as gradient0 so that the
+    Parseval identity against grid quadrature of the gradients holds to
+    round-off.
     """
     grid = _same_grid(f, g)
     return float(np.real(np.sum(grid.dirichlet * f.modes * np.conj(g.modes))))
 
 
-def _band(n: int, m: int):
-    """Index of the n x n modes inside an m x m mode array (m >= n): the
-    nonnegative frequencies first, the negative ones (Nyquist included)
-    at the end."""
-    idx = np.r_[:n // 2, m - n // 2:m]
-    return np.ix_(idx, idx)
-
-
 def _pad_modes(modes: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros((m, m), dtype=complex)
-    out[_band(modes.shape[-1], m)] = modes
+    """(..., n, n/2 + 1) modes zero-padded to (..., m, m/2 + 1), m > n:
+    the same real interpolant on the finer grid.  Each Nyquist
+    coefficient is split evenly between +-n/2: the k_x = n/2 row goes
+    half to each of the rows +-n/2, and the k_y = n/2 column, an interior
+    column of the m grid that stands for its conjugate too, is halved."""
+    n = modes.shape[-2]
+    h = n // 2
+    out = np.zeros(modes.shape[:-2] + (m, m // 2 + 1), dtype=complex)
+    out[..., :h, :h + 1] = modes[..., :h, :]
+    out[..., m - h:, :h + 1] = modes[..., h:, :]
+    out[..., m - h, :] *= 0.5
+    out[..., h, :] = out[..., m - h, :]
+    out[..., h] *= 0.5
     return out
+
+
+def _band(modes: np.ndarray, n: int) -> np.ndarray:
+    """The (n, n/2 + 1) band of (m, m/2 + 1) modes, m > n, laid out as
+    _pad_modes lays it out (the k_y = n/2 column taken as it is)."""
+    m = modes.shape[-2]
+    h = n // 2
+    return np.concatenate([modes[:h, :h + 1], modes[m - h:, :h + 1]])
 
 
 def product_dealiased(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -260,7 +301,7 @@ def product_dealiased(f: ScalarField, g: ScalarField) -> ScalarField:
     m = 3 * n // 2
     fv = to_values(_pad_modes(f.modes, m))
     gv = to_values(_pad_modes(g.modes, m))
-    return ScalarField.from_modes(grid, to_modes(fv * gv)[_band(n, m)])
+    return ScalarField.from_modes(grid, _band(to_modes(fv * gv), n))
 
 
 # Off-grid evaluation is a type-2 non-uniform FFT (Dutt-Rokhlin 1993;
@@ -276,9 +317,9 @@ def product_dealiased(f: ScalarField, g: ScalarField) -> ScalarField:
 _ES_WIDTH = 16
 _ES_BETA = 2.30 * _ES_WIDTH
 # points per gathered block batch: a batch gathers chunk * W^2 * F
-# doubles (3.1 MB for the six-field stack), which sets the memory peak
+# doubles (1.6 MB for the six-field stack), which sets the memory peak
 # of a phi0 evaluation
-_EVAL_CHUNK = 256
+_EVAL_CHUNK = 128
 _PREPARED: dict = {}               # id(modes) -> (weakref, oversampled grid)
 
 
@@ -319,15 +360,15 @@ def _es_transform(k: np.ndarray, m: int) -> np.ndarray:
 
 
 def _oversampled(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
-    """Deconvolved real grids of (n, n) or (F, n, n) modes, shape
-    (2n + W - 1, 2n + W - 1, F); the last W - 1 rows and columns repeat
-    the first, so no block wraps."""
+    """Deconvolved real grids of (n, n/2 + 1) or (F, n, n/2 + 1) modes,
+    shape (2n + W - 1, 2n + W - 1, F); the last W - 1 rows and columns
+    repeat the first, so no block wraps."""
     n, m, w = grid.n, 2 * grid.n, _ES_WIDTH
-    stack = modes.reshape(-1, n, n)
-    corr = 1.0 / _es_transform(np.fft.fftfreq(n, d=1.0 / n), m)
-    decon = np.outer(corr, corr)
+    stack = modes.reshape((-1,) + grid.mode_shape)
+    kx, ky = grid.freqs()
+    decon = (1.0 / _es_transform(kx, m)) * (1.0 / _es_transform(ky, m))
     out = np.empty((m + w - 1, m + w - 1, stack.shape[0]))
-    for f, field_modes in enumerate(stack):  # one complex (2n, 2n) at a time
+    for f, field_modes in enumerate(stack):  # one (2n, n + 1) at a time
         u = to_values(_pad_modes(field_modes * decon, m))
         out[:, :, f] = np.pad(u, (0, w - 1), mode="wrap")
     return out
@@ -374,7 +415,9 @@ def _contract(fine: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def eval_modes_at(grid: TorusGrid, modes: np.ndarray,
                   points: np.ndarray) -> np.ndarray:
-    """Re sum_k modes_k exp(2 pi i k.x) at arbitrary points, shape (m,).
+    """Re sum_k c_k modes_k exp(2 pi i k.x) at arbitrary points, shape
+    (m,), with the Parseval weights c_k and the Nyquist split of the
+    module docstring.
 
     points: array of shape (m, 2), any real coordinates.  See
     eval_modes_stack_at.
@@ -384,20 +427,21 @@ def eval_modes_at(grid: TorusGrid, modes: np.ndarray,
 
 def eval_modes_stack_at(grid: TorusGrid, stack: np.ndarray,
                         points: np.ndarray) -> np.ndarray:
-    """Real parts of several mode sums at the same points, shape (F, m).
+    """Several weighted mode sums (eval_modes_at) at the same points,
+    shape (F, m).
 
-    stack: (F, n, n) modes.  Agrees with the direct sum to round-off (see
-    above).  The cost is one 2n x 2n inverse FFT per field, made once for
-    a read-only stack, plus O(F W^2) per point.
+    stack: (F, n, n/2 + 1) modes.  Agrees with the direct sum to round-off
+    (see above).  The cost is one 2n x 2n inverse real FFT per field, made
+    once for a read-only stack, plus O(F W^2) per point.
     """
     return _evaluate(grid, stack, points)
 
 
 def _evaluate(grid: TorusGrid, modes: np.ndarray,
               points: np.ndarray) -> np.ndarray:
-    """(F, m) values of (n, n) (F = 1) or (F, n, n) modes."""
+    """(F, m) values of (n, n/2 + 1) (F = 1) or (F, n, n/2 + 1) modes."""
     modes = np.asarray(modes)
-    if modes.ndim not in (2, 3) or modes.shape[-2:] != (grid.n, grid.n):
+    if modes.ndim not in (2, 3) or modes.shape[-2:] != grid.mode_shape:
         raise GridMismatchError(
             f"modes shape {modes.shape} does not match grid n={grid.n}")
     points = np.atleast_2d(np.asarray(points, dtype=float))

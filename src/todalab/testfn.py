@@ -429,44 +429,51 @@ class _Phi0Evaluator:
         tf = self.tf
         c = tf.scales[i]
         le = self.le
-        data = self._polar(i, r_nodes, self.theta)
         th_w = 2.0 * math.pi / self.theta
         rho = c * r_nodes                       # normalized radius
         eta = smoothstep(rho, le, 2.0 * le)
-        etad = smoothstep_deriv(rho, le, 2.0 * le) * c   # chart derivative
         in_band = rho > le
+        # the disc radii come first; gradients enter on the band only
+        nd = int(np.count_nonzero(~in_band))
+        disc = self._polar(i, r_nodes[:nd], self.theta, gradients=False)
+        data = self._polar(i, r_nodes[nd:], self.theta)
         logrho = np.log(rho)
-        w_area = (r_nodes * r_w)[:, None] * th_w * data["weight"]
+        w_area = ((r_nodes * r_w)[:, None] * th_w
+                  * np.concatenate([disc["weight"], data["weight"]]))
 
         # unit radial vectors and normalized displacement components
         ct, st = data["ct"], data["st"]
         z1 = c * np.outer(r_nodes, ct)
         z2 = c * np.outer(r_nodes, st)
 
-        H, dH, G, dG = {}, {}, {}, {}
+        H, G = {}, {}
         for k in (1, 2):
             e: LocalExpansion = tf.expansions[(k, i)]
-            G[k] = data[f"G{k}"]
-            dG[k] = data[f"dG{k}"]
+            G[k] = np.concatenate([disc[f"G{k}"], data[f"G{k}"]])
             H[k] = (G[k] - (e.a * logrho[:, None] + e.A
                             + e.lam * z1 + e.mu * z2))
-            radial = (e.a / rho)[:, None] * c
-            dHx = dG[k][:, :, 0] - radial * ct[None, :] - c * e.lam
-            dHy = dG[k][:, :, 1] - radial * st[None, :] - c * e.mu
-            dH[k] = (dHx, dHy)
 
         # gradients of the blended field G - eta*H on the band
+        rho_b = rho[nd:]
+        eta_b = eta[nd:, None]
+        etad = smoothstep_deriv(rho_b, le, 2.0 * le)[:, None] * c  # chart
         bx, by = {}, {}
         for k in (1, 2):
-            cut = (etad[:, None] * H[k])
-            bx[k] = dG[k][:, :, 0] - eta[:, None] * dH[k][0] - cut * ct[None, :]
-            by[k] = dG[k][:, :, 1] - eta[:, None] * dH[k][1] - cut * st[None, :]
+            e = tf.expansions[(k, i)]
+            dG = data[f"dG{k}"]
+            radial = (e.a / rho_b)[:, None] * c
+            dHx = dG[:, :, 0] - radial * ct[None, :] - c * e.lam
+            dHy = dG[:, :, 1] - radial * st[None, :] - c * e.mu
+            cut = etad * H[k][nd:]
+            bx[k] = dG[:, :, 0] - eta_b * dHx - cut * ct[None, :]
+            by[k] = dG[:, :, 1] - eta_b * dHy - cut * st[None, :]
 
         out = {}
         band_w = np.where(in_band, r_nodes * r_w, 0.0)[:, None] * th_w
+        dens = np.zeros((r_nodes.size, self.theta))   # 0 where band_w is 0
         for k, m in ((1, 1), (2, 2), (1, 2)):
-            out[f"dir_{k}{m}"] = float(np.sum(
-                (bx[k] * bx[m] + by[k] * by[m]) * band_w))
+            dens[nd:] = bx[k] * bx[m] + by[k] * by[m]
+            out[f"dir_{k}{m}"] = float(np.sum(dens * band_w))
 
         # mean-term corrections: -eta*H on the band, smooth remainder on
         # the disc (log part and bubble part are closed-form elsewhere)

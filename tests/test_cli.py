@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from todalab.cli import _DEFAULTS, RunConfig, main, parse_config
 from todalab.errors import ConfigError
 from todalab.spectral import load_field_values
+from todalab.testfn import DEFAULT_EPS_LIST
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -227,14 +228,26 @@ def test_green_case1(tmp_path, capsys):
 
 
 def test_green_one_point_honours_solver_options(tmp_path, capsys):
+    # one Newton step stops the pair short: the report is written, and
+    # the run exits 2 with one line naming the stop reason
     path = write_config(
         tmp_path, "grid.n = 64\npoints = 0.5,0.5\n"
         "solver.max_iter = 1\nsolver.grad_tol = 1e-3\n")
-    assert main(["green", "--config", path, "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
+    assert main(["green", "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: one-point pair did not converge (max_iter)\n")
     descent = json.loads((tmp_path / "green.json").read_text())["descent"]
     assert descent["iterations"] == 1
     assert descent["stop_reason"] == "max_iter"
+    assert descent["converged"] is False
+
+
+def test_green_one_point_converged_exits_0(tmp_path, capsys):
+    path = write_config(tmp_path, "grid.n = 32\npoints = 0.5,0.5\n")
+    assert main(["green", "--config", path, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    descent = json.loads((tmp_path / "green.json").read_text())["descent"]
+    assert descent["converged"] is True
 
 
 def test_testfn_unconverged_one_point_exits_2_with_one_line(tmp_path, capsys):
@@ -246,6 +259,17 @@ def test_testfn_unconverged_one_point_exits_2_with_one_line(tmp_path, capsys):
     assert err == ("numerical failure: one-point pair did not converge "
                    "(max_iter)\n")
     assert not (tmp_path / "testfn.json").exists()
+
+
+def test_testfn_default_eps_list_fits(tmp_path, capsys):
+    # the default eps list is testfn's own five couplings, enough for the
+    # slope fit that the default L_coupling = auto makes
+    assert RunConfig({}).testfn_eps == list(DEFAULT_EPS_LIST)
+    path = write_config(tmp_path, "grid.n = 32\npoints = 0.5,0.5\n")
+    assert main(["testfn", "--config", path, "--out", str(tmp_path)]) == 0
+    assert "testfn: case two, 5 evaluations" in capsys.readouterr().out
+    rows = json.loads((tmp_path / "testfn.json").read_text())["rows"]
+    assert [r["eps"] for r in rows] == list(DEFAULT_EPS_LIST)
 
 
 def test_green_needs_points(tmp_path, capsys):

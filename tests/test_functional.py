@@ -41,7 +41,7 @@ def rand_smooth(grid, rng, kmax=3, amp=0.3):
             c = rng.normal() + 1j * rng.normal()
             modes[kx % n, ky % n] += c
             modes[-kx % n, -ky % n] += np.conj(c)
-    f = ScalarField.from_modes(grid, modes)
+    f = ScalarField.from_modes(grid, modes[:, :n // 2 + 1])    # half layout
     return ScalarField(grid, amp * f.values / np.max(np.abs(f.values)))
 
 

@@ -189,7 +189,8 @@ def test_smooth_remainder_band_limited(pair1_512):
     # stored remainders must be grid-resolved: top-third modes negligible
     n = pair1_512.grid.n
     kx = np.abs(np.fft.fftfreq(n, 1.0 / n))
-    K = np.maximum(kx[:, None], kx[None, :])
+    ky = np.arange(n // 2 + 1)                   # the half-spectrum columns
+    K = np.maximum(kx[:, None], ky[None, :])
     for g in (pair1_512.G1, pair1_512.G2):
         m = np.abs(g.band.modes)
         assert m[K > n // 3].max() < 1e-8 * m.max()
@@ -256,6 +257,48 @@ def test_case2_sup_bounded(pair2_256):
     # G2 = 2 log r + ... is bounded above on the torus
     pts = residual_sample_points(pair2_256, 200, seed=11, margin=2 * pair2_256.grid.h)
     assert np.max(pair2_256.G2.eval(pts)) < 10.0
+
+
+def polar_quadrature(f, p, levels=27, radial=16, angular=64):
+    """integral of f over the unit torus in polar coordinates about p: the
+    four triangles with apex p over the sides of the square centred at p,
+    Gauss-Legendre in angle and on radial panels halving toward p (the
+    first below 2^-27), so a log r singularity at p costs no accuracy."""
+    x, wx = np.polynomial.legendre.leggauss(radial)
+    edges = np.concatenate([[0.0], 2.0 ** -np.arange(levels, -1, -1.0)])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    t = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()
+    wt = (0.5 * (hi - lo) * wx).ravel()
+    a, wa = np.polynomial.legendre.leggauss(angular)
+    total = 0.0
+    for j in range(4):
+        th = j * math.pi / 2 + a * math.pi / 4
+        edge = 0.5 / np.cos(th - j * math.pi / 2)       # distance to the side
+        r = edge[:, None] * t[None, :]
+        pts = np.stack([p[0] + r * np.cos(th)[:, None],
+                        p[1] + r * np.sin(th)[:, None]], -1).reshape(-1, 2)
+        jac = edge[:, None] ** 2 * t * wt * (wa * math.pi / 4)[:, None]
+        total += float(np.sum(f(pts).reshape(r.shape) * jac))
+    return total
+
+
+def test_integral_against_matches_polar_quadrature():
+    # the Parseval series over the half spectrum, with its column
+    # weights, against a dense quadrature of field * weight; an off-grid
+    # pole puts weight on every phase
+    p = np.array([0.3, 0.55])
+    pair = green_pair_case2(p, make_flat_torus(32))
+    assert pair.descent.converged
+
+    def weight(x, y):
+        return np.exp(0.3 * np.cos(2 * np.pi * x)
+                      + 0.2 * np.sin(2 * np.pi * (x + 2 * y)))
+
+    X, Y = pair.metric.grid.mesh()
+    for g in (pair.G1, pair.G2):
+        ref = polar_quadrature(
+            lambda q: g.eval(q) * weight(q[:, 0], q[:, 1]), p)
+        assert abs(g.integral_against(weight(X, Y)) - ref) < 1e-12
 
 
 # --- exponential integral and culled image sums ------------------------
@@ -362,7 +405,7 @@ def test_culled_image_sums_match_nine_images(n):
 
     # the stable exponential takes the product over every image
     field = SingularField(grid, [p], [-4.0 * math.pi],
-                          np.zeros((n, n), dtype=complex))
+                          np.zeros(grid.mode_shape, dtype=complex))
     _, _, z = nine_image_terms(grid.points(), p, eta)
     ref = np.prod(_exp_neg_e1(z), axis=1).reshape(n, n)
     got = field.singular_exp_values()

@@ -47,7 +47,7 @@ def rand_band_limited(grid, rng, kmax=6, amp=1.0):
             c = rng.normal() + 1j * rng.normal()
             modes[kx % n, ky % n] += c
             modes[-kx % n, -ky % n] += np.conj(c)
-    f = ScalarField.from_modes(grid, modes)
+    f = ScalarField.from_modes(grid, modes[:, :n // 2 + 1])    # half layout
     return ScalarField(grid, amp * f.values / max(np.max(np.abs(f.values)), 1e-30))
 
 
@@ -66,6 +66,23 @@ def test_mode_value_roundtrip():
     f = ScalarField(grid, rng.normal(size=(64, 64)))
     back = ScalarField.from_modes(grid, f.modes)
     assert np.max(np.abs(back.values - f.values)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_modes_are_the_half_spectrum(n):
+    # to_modes keeps the k_y >= 0 half of fft2 / n^2, on stacks too, and
+    # to_values inverts it
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(3, n, n))
+    modes = spectral.to_modes(x)
+    assert modes.shape == (3,) + TorusGrid(n).mode_shape == (3, n, n // 2 + 1)
+    ref = np.fft.fft2(x)[..., :n // 2 + 1] / n ** 2
+    assert np.max(np.abs(modes - ref)) <= 1e-15 * np.max(np.abs(ref))
+    back = spectral.to_values(modes)
+    assert back.shape == x.shape
+    assert np.max(np.abs(back - x)) <= 1e-15 * np.max(np.abs(x))
+    field = ScalarField(TorusGrid(n), x[0])
+    assert np.array_equal(field.modes, modes[0])
 
 
 def test_from_modes_transforms_on_first_read(monkeypatch):
@@ -190,6 +207,32 @@ def test_parseval():
     assert abs(spec - quad) < 1e-10 * max(abs(spec), 1.0)
 
 
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_dirichlet_forms_match_gradient_quadrature(n):
+    # the half-spectrum Parseval sums with their column weights against
+    # the grid mean of gradient0 products; white noise puts weight on
+    # every column, the Nyquist row and column included
+    from todalab.functional import CoupledEnergy
+
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(n + 1)
+    u = rng.normal(size=(2, n, n))
+    f, g = (ScalarField(grid, x) for x in u)
+    grads = [gradient0(h) for h in (f, g)]
+
+    def quad(a, b):
+        return float(np.mean(a.x.values * b.x.values + a.y.values * b.y.values))
+
+    pairs = [[quad(a, b) for b in grads] for a in grads]
+    scale = pairs[0][0]
+    assert abs(dirichlet_form(f, g) - pairs[0][1]) <= 1e-12 * scale
+    assert abs(dirichlet_form(f, f) - pairs[0][0]) <= 1e-12 * scale
+    a = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
+    energy = CoupledEnergy(grid, a, 0.0, np.ones((n, n)))
+    ref = 0.5 * float(np.sum(a * np.array(pairs)))
+    assert abs(energy.energy_and_grad(u)[0] - ref) <= 1e-12 * scale
+
+
 def test_grid_mismatch_rejected():
     f = ScalarField.constant(TorusGrid(32), 1.0)
     g = ScalarField.constant(TorusGrid(64), 1.0)
@@ -219,12 +262,18 @@ def test_eval_at_band_limited():
 
 
 def dense_mode_sum(stack, points):
-    """The direct sum over every mode, Re sum_k c_k exp(2 pi i k.x): the
-    oracle for the off-grid evaluator, O(F m n^2)."""
-    n = stack.shape[-1]
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    ex = np.exp(2j * np.pi * np.outer(points[:, 0], k))
-    ey = np.exp(2j * np.pi * np.outer(points[:, 1], k))
+    """The direct sum over every mode of the half spectrum,
+    Re sum_k w_k c_k exp(2 pi i k.x), with the column weights w = 1, 2,
+    ..., 2, 1 and the Nyquist row split evenly between +-n/2, so its
+    factor is cos(pi n x): the oracle for the off-grid evaluator,
+    O(F m n^2)."""
+    n = stack.shape[-2]
+    kx = np.fft.fftfreq(n, d=1.0 / n)
+    ky = np.arange(n // 2 + 1)
+    w = np.where((ky == 0) | (ky == n // 2), 1.0, 2.0)
+    ex = np.exp(2j * np.pi * np.outer(points[:, 0], kx))
+    ex[:, n // 2] = np.cos(np.pi * n * points[:, 0])
+    ey = w * np.exp(2j * np.pi * np.outer(points[:, 1], ky))
     t = np.tensordot(stack, ey, axes=([2], [1]))          # (F, n, m)
     return np.einsum("pk,fkp->fp", ex, t).real
 
@@ -243,7 +292,7 @@ def offgrid_points(n, rng):
 def white_noise_modes(n, count, rng):
     """Modes of real fields with equal weight on every mode, Nyquist
     row and column included: the hardest band-limited input."""
-    return np.fft.fft2(rng.normal(size=(count, n, n))) / n ** 2
+    return np.fft.rfft2(rng.normal(size=(count, n, n))) / n ** 2
 
 
 def assert_matches_dense(grid, stack, points, tol=1e-13):
@@ -278,12 +327,12 @@ def test_offgrid_curved_stack_matches_dense_sum():
     extract_expansions(pair)
     ev = _StackEval(pair)
     stack = ev.stack
-    assert stack.shape == (7, 128, 128) and not stack.flags.writeable
+    assert stack.shape == (7, 128, 65) and not stack.flags.writeable
     pts = offgrid_points(128, np.random.default_rng(1))
     assert_matches_dense(grid, stack, pts)
     # without gradients only the value rows are evaluated, to the same bits
     full, plain = ev(pts), ev(pts, gradients=False)
-    assert ev.value_rows.shape == (3, 128, 128)
+    assert ev.value_rows.shape == (3, 128, 65)
     assert not ev.value_rows.flags.writeable
     assert set(plain) == {"G1", "G2", "weight"}
     for key, vals in plain.items():
@@ -308,32 +357,56 @@ def test_offgrid_grid_kept_while_read_only_modes_live():
 
 
 def test_offgrid_nyquist_modes():
+    # the Nyquist row splits evenly between k_x = +-n/2 (cos(pi n x)),
+    # the Nyquist column is k_y = +n/2 with weight 1
     n = 64
     grid = TorusGrid(n)
-    modes = np.zeros((2, n, n), dtype=complex)
-    modes[0, n // 2, 0] = 1.0            # cos(pi n x): frequency -n/2
-    modes[1, n // 2, n // 2] = 0.5j      # Re: 0.5 sin(pi n (x + y))
+    modes = np.zeros((3,) + grid.mode_shape, dtype=complex)
+    modes[0, n // 2, 0] = 1.0            # cos(pi n x)
+    modes[1, n // 2, n // 2] = 0.5j      # Re: -0.5 cos(pi n x) sin(pi n y)
+    modes[2, 3, n // 2] = 1.0            # cos(2 pi (3 x + n y / 2))
     rng = np.random.default_rng(4)
     pts = offgrid_points(n, rng)
     assert_matches_dense(grid, modes, pts)
     got = eval_modes_stack_at(grid, modes, pts)
     x, y = pts[:, 0], pts[:, 1]
     assert np.max(np.abs(got[0] - np.cos(math.pi * n * x))) < 1e-12
-    assert np.max(np.abs(got[1] - 0.5 * np.sin(math.pi * n * (x + y)))) < 1e-12
+    assert np.max(np.abs(got[1] + 0.5 * np.cos(math.pi * n * x)
+                         * np.sin(math.pi * n * y))) < 1e-12
+    assert np.max(np.abs(got[2] - np.cos(TWO_PI * (3 * x + n * y / 2)))) < 1e-12
     nodes = np.stack(np.meshgrid(np.arange(n) / n, [0.25]), -1).reshape(-1, 2)
     alternating = (-1.0) ** np.arange(n)
     assert np.max(np.abs(eval_modes_at(grid, modes[0], nodes)
                          - alternating)) < 1e-13
 
 
+def test_offgrid_interpolant_keeps_the_grid_symmetries():
+    # white noise made even under x -> -x, y -> -y and x <-> y on the
+    # grid: the interpolant is too, to round-off, because each Nyquist
+    # coefficient is split evenly between +-n/2
+    n = 32
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(n, n))
+    v = v + np.roll(v[::-1], 1, axis=0)
+    v = v + np.roll(v[:, ::-1], 1, axis=1)
+    v = v + v.T
+    f = ScalarField(grid, v)
+    d = rng.uniform(-0.5, 0.5, (200, 2))
+    base = eval_at(f, d)
+    for image in (d * [-1.0, 1.0], d * [1.0, -1.0], d[:, ::-1]):
+        assert np.max(np.abs(eval_at(f, image) - base)) < 1e-13 * np.max(np.abs(v))
+
+
 def test_offgrid_gradient_matches_dense_sum():
     grid = TorusGrid(64)
     rng = np.random.default_rng(8)
     f = rand_band_limited(grid, rng, kmax=20)
-    k = np.fft.fftfreq(64, d=1.0 / 64)
-    k[32] = 0.0                                   # Nyquist derivative is 0
-    stack = np.stack([f.modes * (2j * np.pi * k[:, None]),
-                      f.modes * (2j * np.pi * k[None, :])])
+    kx = np.fft.fftfreq(64, d=1.0 / 64)
+    ky = np.arange(33.0)
+    kx[32] = ky[32] = 0.0                         # Nyquist derivative is 0
+    stack = np.stack([f.modes * (2j * np.pi * kx[:, None]),
+                      f.modes * (2j * np.pi * ky[None, :])])
     pts = offgrid_points(64, rng)
     ref = dense_mode_sum(stack, pts).T
     got = eval_gradient_at(f, pts)
@@ -358,18 +431,27 @@ def test_kernel_transform_bessel_matches_mpmath():
 
 def test_multiplier_table_shared_and_read_only():
     grid = TorusGrid(32)
-    table = (grid.k2, grid.laplacian, grid.dirichlet) + grid.ik
+    table = (grid.k2, grid.laplacian, grid.dirichlet, grid.parseval) + grid.ik
     before = [t.copy() for t in table]
-    assert grid.laplacian is table[1] and grid.ik[1] is table[4]
+    assert grid.laplacian is table[1] and grid.ik[1] is table[5]
     assert not any(t.flags.writeable for t in table)
     with pytest.raises(ValueError):
         grid.laplacian[0, 0] = 1.0
-    # the conventions: full |k|^2 in the Laplacian, Nyquist-zeroed
-    # derivatives and Dirichlet multiplier
-    k = np.fft.fftfreq(32, d=1.0 / 32)
-    assert np.array_equal(grid.k2, k[:, None] ** 2 + k[None, :] ** 2)
+    # the conventions: half-width (32, 17) arrays, full |k|^2 in the
+    # Laplacian, Nyquist-zeroed derivatives and Dirichlet multiplier, and
+    # the Parseval weight 2 on the interior columns
+    assert grid.mode_shape == (32, 17)
+    assert grid.k2.shape == grid.dirichlet.shape == (32, 17)
+    assert grid.ik[0].shape == (32, 1) and grid.ik[1].shape == (1, 17)
+    kx = np.fft.fftfreq(32, d=1.0 / 32)
+    ky = np.arange(17)
+    assert np.array_equal(grid.k2, kx[:, None] ** 2 + ky[None, :] ** 2)
+    assert np.array_equal(grid.parseval[0], [1.0] + [2.0] * 15 + [1.0])
     assert grid.laplacian[16, 3] == -4.0 * np.pi ** 2 * (16 ** 2 + 3 ** 2)
-    assert grid.dirichlet[16, 3] == 4.0 * np.pi ** 2 * 3 ** 2
+    assert grid.laplacian[3, 16] == -4.0 * np.pi ** 2 * (3 ** 2 + 16 ** 2)
+    assert grid.dirichlet[16, 3] == 2.0 * 4.0 * np.pi ** 2 * 3 ** 2
+    assert grid.dirichlet[3, 16] == 4.0 * np.pi ** 2 * 3 ** 2
+    assert grid.dirichlet[3, 0] == 4.0 * np.pi ** 2 * 3 ** 2
     assert grid.ik[0][16, 0] == 0.0 and grid.ik[1][0, 16] == 0.0
     f = rand_band_limited(grid, np.random.default_rng(4))
     u = solve_poisson0(laplacian0(f))
@@ -405,8 +487,20 @@ def test_only_spectral_references_fft():
 
 def test_offgrid_rejects_wrong_grid():
     with pytest.raises(GridMismatchError):
-        eval_modes_stack_at(TorusGrid(32), np.zeros((2, 64, 64)),
+        eval_modes_stack_at(TorusGrid(32), np.zeros((2, 64, 33)),
                             np.zeros((1, 2)))
+
+
+def test_full_layout_modes_rejected():
+    # an (n, n) full-spectrum array is not a mode array of the n grid
+    grid = TorusGrid(32)
+    full = np.fft.fft2(np.ones((32, 32))) / 32 ** 2
+    with pytest.raises(GridMismatchError):
+        ScalarField.from_modes(grid, full)
+    with pytest.raises(GridMismatchError):
+        eval_modes_stack_at(grid, full[None], np.zeros((1, 2)))
+    with pytest.raises(GridMismatchError):
+        eval_modes_at(grid, full, np.zeros((1, 2)))
 
 
 def test_wrap_offset():
