@@ -17,32 +17,12 @@ import numpy as np
 from .errors import ConfigError
 
 __all__ = [
-    "BubbleWindow", "CapacityProblem",
+    "CapacityProblem",
     "bubble_profile", "bubble_profile_r", "bubble_dirichlet_energy",
     "bubble_mass", "bubble_pde_residual",
     "capacity_energy", "capacity_minimizer",
     "lower_bound_case1", "lower_bound_case2", "case2_closing_constant",
 ]
-
-
-@dataclass(frozen=True)
-class BubbleWindow:
-    """Concentration window: bubble of scale eps cut off at radius L*eps."""
-
-    L: float
-    eps: float
-    center: tuple[float, float] = (0.5, 0.5)
-
-    def __post_init__(self):
-        if not (self.L > 0.0 and self.eps > 0.0):
-            raise ConfigError(f"window needs L, eps > 0, got L={self.L}, eps={self.eps}")
-        if self.L * self.eps >= 0.25:
-            raise ConfigError(
-                f"window radius L*eps = {self.L * self.eps:.3g} must stay below 1/4")
-
-    @property
-    def radius(self) -> float:
-        return self.L * self.eps
 
 
 @dataclass(frozen=True)

@@ -385,13 +385,7 @@ def cmd_testfn(cfg: RunConfig) -> int:
         if rep.constant_alternate is not None:
             payload["constant_alternate"] = rep.constant_alternate
     else:
-        L = cfg.L_fixed
-        rows = []
-        stack = testfn._StackEval(pair)     # shared by every row
-        for eps in cfg.testfn_eps:
-            tf = testfn.build_test_pair(pair, eps, L=L)
-            rows.append({"eps": eps, "L": L, "phi0": testfn.evaluate_phi0(
-                tf, metric, stack=stack)})
+        rows = testfn.phi0_along(pair, cfg.testfn_eps, cfg.L_fixed)
         payload = {**_report_header(cfg), "case": pair.case_tag,
                    "L_mode": cfg.L_mode, "rows": rows}
     path = _write_report(cfg, "testfn", payload, rows_key="rows")

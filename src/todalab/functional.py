@@ -1,8 +1,6 @@
-"""Coupled exponential-nonlinearity functionals and their descent minimizer.
+"""The reduced two-field Toda functional and its Newton-CG minimizer.
 
-Two presentations of the same energy are implemented: the general rank-N
-form driven by the SU(N+1) coupling matrix, and the two-field reduced
-form Phi_eps used throughout the concentration analysis,
+Phi_eps, the form used throughout the concentration analysis, is
 
   Phi_eps(u1, u2) = (1/3) integral(|grad u1|^2 + |grad u2|^2
                                    + grad u1 . grad u2) dx
@@ -10,9 +8,10 @@ form Phi_eps used throughout the concentration analysis,
                     - (4 pi - eps) [log integral e^{u1} dV_g
                                     + log integral e^{u2} dV_g].
 
-They agree under the linear substitution v1 = (2 u1 + u2)/3,
-v2 = (u1 + 2 u2)/3 with both masses 4 pi - eps; the test suite asserts
-this identity on random states.
+It is the SU(3) Toda functional, with coupling matrix [[2, -1], [-1, 2]]
+and both masses 4 pi - eps, under the substitution v1 = (2 u1 + u2)/3,
+v2 = (u1 + 2 u2)/3; the test suite keeps that form as an oracle and
+asserts the identity on random states.
 
 Both Newton solves of the package, minimize_phi_eps here and the one-pole
 Green solve in greens, minimize one family of functionals,
@@ -45,45 +44,12 @@ from .geometry import Metric
 from .spectral import ScalarField, TorusGrid
 
 __all__ = [
-    "CartanMatrix", "TodaState", "DescentReport", "SolverOptions",
-    "CoupledEnergy", "phi_general", "phi_eps", "phi_eps_functional",
-    "phi_eps_gradient", "el_residual",
-    "normalize_state", "minimize_phi_eps", "masses_admissible",
+    "TodaState", "DescentReport", "SolverOptions", "CoupledEnergy",
+    "phi_eps", "phi_eps_functional", "phi_eps_gradient", "el_residual",
+    "minimize_phi_eps",
 ]
 
 FOUR_PI = 4.0 * np.pi
-
-
-@dataclass(frozen=True)
-class CartanMatrix:
-    """SU(N+1) coupling matrix: 2 on the diagonal, -1 off it, else 0."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConfigError("coupling matrix must be square")
-        n = a.shape[0]
-        expect = self.su(n).a
-        if not np.array_equal(a, expect):
-            raise ConfigError("matrix is not the SU(N+1) coupling matrix")
-        if np.min(np.linalg.eigvalsh(a.astype(float))) <= 0:
-            raise ConfigError("coupling matrix must be positive definite")
-
-    @classmethod
-    def su(cls, rank: int) -> "CartanMatrix":
-        if rank < 1:
-            raise ConfigError(f"rank must be positive, got {rank}")
-        a = 2 * np.eye(rank, dtype=int) \
-            - np.eye(rank, k=1, dtype=int) - np.eye(rank, k=-1, dtype=int)
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "a", a)
-        return obj
-
-    @property
-    def rank(self) -> int:
-        return self.a.shape[0]
 
 
 @dataclass(frozen=True)
@@ -109,8 +75,31 @@ class TodaState:
         return len(self.u)
 
 
+# The flag each stop reason of run_descent raises (max_iter raises none):
+# a run's converged, blown_up and stagnated are read from here.
+_STOP_FLAG = {"grad_tol": "converged", "ceiling": "blown_up",
+              "nondescent": "stagnated", "line_search": "stagnated",
+              "stagnation": "stagnated", "max_iter": None}
+
+
+class _StopFlags:
+    """converged, blown_up and stagnated of a run, from its stop_reason."""
+
+    @property
+    def converged(self) -> bool:
+        return _STOP_FLAG[self.stop_reason] == "converged"
+
+    @property
+    def blown_up(self) -> bool:
+        return _STOP_FLAG[self.stop_reason] == "blown_up"
+
+    @property
+    def stagnated(self) -> bool:
+        return _STOP_FLAG[self.stop_reason] == "stagnated"
+
+
 @dataclass
-class DescentReport:
+class DescentReport(_StopFlags):
     """Outcome of a descent run, including the blow-up bookkeeping."""
 
     iterations: int
@@ -120,9 +109,6 @@ class DescentReport:
     maxima: list[float]
     means: list[float]
     s: list[float | None]
-    blown_up: bool
-    stagnated: bool
-    converged: bool
     stop_reason: str
 
     def to_record(self) -> dict:
@@ -156,8 +142,7 @@ class DescentReport:
              for m, mb in zip(maxima, means)]
         return cls(iterations=raw.iterations, energy_trace=raw.energy_trace,
                    grad_norm=raw.grad_norm, el_residual=el_residual,
-                   maxima=maxima, means=means, s=s, blown_up=raw.blown_up,
-                   stagnated=raw.stagnated, converged=raw.converged,
+                   maxima=maxima, means=means, s=s,
                    stop_reason=raw.stop_reason)
 
 
@@ -178,10 +163,8 @@ _MAX_BACKTRACKS = 60
 _STAGNATION_WINDOW = 50
 _STAGNATION_DECREASE = 1e-14
 
-
-def masses_admissible(masses) -> bool:
-    """True iff every mass is at most 4 pi (boundedness-below criterion)."""
-    return bool(np.all(np.asarray(masses, dtype=float) <= FOUR_PI))
+# el_residual's bound on |log integral e^{u_i} dV_g| of a normalized state
+_NORM_TOL = 1e-6
 
 
 def _log_int_exp(values: np.ndarray, metric: Metric) -> float:
@@ -189,42 +172,6 @@ def _log_int_exp(values: np.ndarray, metric: Metric) -> float:
     t = values + metric.phi.values
     m = float(np.max(t))
     return m + float(np.log(np.mean(np.exp(t - m))))
-
-
-def normalize_state(state: TodaState, metric: Metric) -> TodaState:
-    """Shift each field so that integral e^{u_i} dV_g = 1."""
-    shifted = tuple(
-        ScalarField(f.grid, f.values - _log_int_exp(f.values, metric))
-        for f in state.u)
-    return TodaState(u=shifted, masses=state.masses)
-
-
-def phi_general(state: TodaState, cartan: CartanMatrix, metric: Metric) -> float:
-    """The rank-N functional.
-
-    (1/2) sum_ij a_ij [ integral grad u_i . grad u_j dx
-                        + 2 M_i integral u_j dV_g ]
-    - sum_i M_i log integral exp(sum_j a_ij u_j) dV_g
-    """
-    if state.rank != cartan.rank:
-        raise ConfigError(
-            f"state rank {state.rank} != matrix rank {cartan.rank}")
-    a = cartan.a
-    u = state.u
-    masses = state.masses
-    total = 0.0
-    for i in range(state.rank):
-        for j in range(state.rank):
-            if a[i, j] == 0:
-                continue
-            total += 0.5 * a[i, j] * (
-                spectral.dirichlet_form(u[i], u[j])
-                + 2.0 * masses[i] * float(np.mean(u[j].values * metric.weight)))
-    for i in range(state.rank):
-        combo = sum(a[i, j] * u[j].values for j in range(state.rank)
-                    if a[i, j] != 0)
-        total -= masses[i] * _log_int_exp(combo, metric)
-    return total
 
 
 def _check_eps(eps: float, allow_zero: bool = True) -> None:
@@ -261,7 +208,7 @@ def phi_eps_gradient(u1: ScalarField, u2: ScalarField, eps: float,
 
 
 def el_residual(u1: ScalarField, u2: ScalarField, eps: float,
-                metric: Metric, norm_tol: float = 1e-6) -> float:
+                metric: Metric) -> float:
     """Sup-norm Euler-Lagrange residual of the normalized state.
 
     max over i of sup | -Delta_g u_i - [(8 pi - 2 eps) e^{u_i}
@@ -274,7 +221,7 @@ def el_residual(u1: ScalarField, u2: ScalarField, eps: float,
     _check_eps(eps)
     for f in (u1, u2):
         drift = _log_int_exp(f.values, metric)
-        if abs(drift) > norm_tol:
+        if abs(drift) > _NORM_TOL:
             raise ConfigError(
                 f"state not normalized: log integral e^u dV_g = {drift:.3e}")
     rho = FOUR_PI - eps
@@ -294,16 +241,13 @@ def _precondition(g: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 @dataclass
-class RawDescent:
+class RawDescent(_StopFlags):
     """Low-level descent outcome on raw arrays."""
 
     state: np.ndarray           # (F, n, n)
     energy_trace: list[float]
     iterations: int
     grad_norm: float
-    converged: bool
-    blown_up: bool
-    stagnated: bool
     stop_reason: str
 
 
@@ -512,20 +456,19 @@ def run_descent(init, grid: TorusGrid, energy_and_grad, project,
     trace = [energy]
     gnorm = grad_norm_of(state, grads)
     stagnant = 0
-    converged = blown_up = stagnated = False
     reason = "max_iter"
     it = 0
     while it < opts.max_iter:
         if gnorm <= opts.grad_tol:
-            converged, reason = True, "grad_tol"
+            reason = "grad_tol"
             break
         if ceiling_of(state) > opts.ceiling:
-            blown_up, reason = True, "ceiling"
+            reason = "ceiling"
             break
         direction = _newton_direction(grads, hessian(state), grid)
         slope = sum(float(np.mean(g * d)) for g, d in zip(grads, direction))
         if slope >= 0.0:
-            stagnated, reason = True, "nondescent"
+            reason = "nondescent"
             break
         s = 1.0
         accepted = False
@@ -541,7 +484,7 @@ def run_descent(init, grid: TorusGrid, energy_and_grad, project,
             s *= _BACKTRACK
         it += 1
         if not accepted:
-            stagnated, reason = True, "line_search"
+            reason = "line_search"
             break
         decrease = energy - e_trial
         state, energy, grads = trial, e_trial, g_trial
@@ -550,18 +493,17 @@ def run_descent(init, grid: TorusGrid, energy_and_grad, project,
         if decrease < _STAGNATION_DECREASE:
             stagnant += 1
             if stagnant >= _STAGNATION_WINDOW:
-                stagnated, reason = True, "stagnation"
+                reason = "stagnation"
                 break
         else:
             stagnant = 0
     else:
         if gnorm <= opts.grad_tol:
-            converged, reason = True, "grad_tol"
+            reason = "grad_tol"
     if not np.isfinite(energy):
         raise SolverError("descent reached non-finite energy", trace=trace)
     return RawDescent(state=state, energy_trace=trace, iterations=it,
-                      grad_norm=gnorm, converged=converged, blown_up=blown_up,
-                      stagnated=stagnated, stop_reason=reason)
+                      grad_norm=gnorm, stop_reason=reason)
 
 
 def minimize_phi_eps(init: TodaState, eps: float, metric: Metric,

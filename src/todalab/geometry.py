@@ -146,42 +146,32 @@ def polyfit_disc(dx: np.ndarray, dy: np.ndarray, vals: np.ndarray,
     return unscaled, rms
 
 
-def fit_local_polynomial(grid: TorusGrid, values: np.ndarray,
-                         p: np.ndarray, rho_fit: float, powers=None):
-    """Least-squares polynomial fit of a grid field around p on a disc.
-
-    Returns (coeffs keyed by the basis order, rms residual, sample count).
-    """
-    X, Y = grid.mesh()
-    dx = spectral.wrap_offset(X - p[0])
-    dy = spectral.wrap_offset(Y - p[1])
-    mask = dx ** 2 + dy ** 2 <= rho_fit ** 2
-    coef, rms = polyfit_disc(dx[mask], dy[mask], np.asarray(values)[mask],
-                             rho_fit, powers)
-    return coef, rms, int(mask.sum())
-
-
-def metric_expansion_at(metric: Metric, p, rho_fit: float | None = None,
-                        rtol: float = 1e-2) -> MetricExpansion:
+def metric_expansion_at(metric: Metric, p) -> MetricExpansion:
     """Quadratic expansion of phi at p with the local phi(p)=0 normalization.
 
-    The fit is full degree 5 on a disc of radius rho_fit (default 8h) so
-    neither cubic nor quartic content biases the quadratic coefficients;
-    terms above degree two are then discarded.  Coefficients are reported
+    The fit is full degree 5 on a disc of radius 8h so neither cubic nor
+    quartic content biases the quadratic coefficients; terms above degree
+    two are then discarded.  A fit whose rms residual exceeds 1e-2 of
+    max |phi - phi(p)| raises AccuracyError.  Coefficients are reported
     in coordinates rescaled by e^{phi(p)/2}, which makes -(c1+c2) the
     Gauss curvature.
     """
     p = np.asarray(p, dtype=float)
     grid = metric.grid
-    if rho_fit is None:
-        rho_fit = 8.0 * grid.h
+    rho_fit = 8.0 * grid.h
+    rtol = 1e-2
     if metric.is_flat:
         return MetricExpansion(center=(p[0], p[1]), b1=0.0, b2=0.0,
                                c1=0.0, c2=0.0, c12=0.0, scale=1.0,
                                phi_center=0.0, fit_residual=0.0)
     phi_p = float(spectral.eval_at(metric.phi, p[None, :])[0])
-    coef, rms, _ = fit_local_polynomial(grid, metric.phi.values - phi_p,
-                                        p, rho_fit, powers=_FIT_POWERS_EXT)
+    X, Y = grid.mesh()
+    dx = spectral.wrap_offset(X - p[0])
+    dy = spectral.wrap_offset(Y - p[1])
+    mask = dx ** 2 + dy ** 2 <= rho_fit ** 2
+    coef, rms = polyfit_disc(dx[mask], dy[mask],
+                             (metric.phi.values - phi_p)[mask], rho_fit,
+                             _FIT_POWERS_EXT)
     scale_ref = max(float(np.max(np.abs(metric.phi.values - phi_p))), 1e-12)
     if rms > rtol * scale_ref:
         raise AccuracyError(

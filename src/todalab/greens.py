@@ -41,7 +41,7 @@ from .geometry import Metric, polyfit_disc
 from .spectral import ScalarField, TorusGrid
 
 __all__ = [
-    "FlatGreen", "SingularField", "GreenPair", "LocalExpansion",
+    "SingularField", "GreenPair", "LocalExpansion",
     "flat_green", "green_pair_case1", "green_pair_case2",
     "local_expansion", "extract_expansions", "expansion_trace_residual",
     "equation_residuals",
@@ -249,10 +249,8 @@ class SingularField:
     def eval(self, pts: np.ndarray) -> np.ndarray:
         """Values at arbitrary points (infinite at the singular points)."""
         pts = np.atleast_2d(pts)
-        out = spectral.eval_at(self.band, pts) + self.const
-        for p, s in zip(self.points, self.strengths):
-            out = out + s * _image_sum(pts, p, self.eta)
-        return out
+        return (spectral.eval_at(self.band, pts) + self.const
+                + self.image_values(pts))
 
     def eval_regular(self, pts: np.ndarray, idx: int) -> np.ndarray:
         """Values minus a_idx log r_idx (finite at p_idx, singular at others)."""
@@ -268,10 +266,8 @@ class SingularField:
     def eval_gradient(self, pts: np.ndarray) -> np.ndarray:
         """Analytic/spectral gradient at arbitrary points; (m, 2)."""
         pts = np.atleast_2d(pts)
-        out = spectral.eval_gradient_at(self.band, pts)
-        for p, s in zip(self.points, self.strengths):
-            out = out + s * _image_gradient(pts, p, self.eta)
-        return out
+        return (spectral.eval_gradient_at(self.band, pts)
+                + self.image_gradients(pts))
 
     def image_values(self, pts: np.ndarray, strengths=None) -> np.ndarray:
         """Only the singular (image-sum) part: sum_i s_i V(x - p_i), (m,).
@@ -354,32 +350,13 @@ class SingularField:
                              self.band.modes, self.const + c)
 
 
-class FlatGreen:
-    """Flat-torus Green's function: -Delta_0 G0(., p) = delta_p - 1, zero mean."""
-
-    def __init__(self, p, grid: TorusGrid):
-        self.source = np.asarray(p, dtype=float)
-        self.grid = grid
-        self.eta = split_width(grid)
-        self._field = SingularField(grid, [self.source], [1.0],
-                                    _screened_remainder_modes(grid, self.source, self.eta))
-        self.robin = float(self._field.eval_regular(self.source[None, :], 0)[0])
-
-    def eval(self, pts: np.ndarray) -> np.ndarray:
-        return self._field.eval(pts)
-
-    def eval_regular(self, pts: np.ndarray) -> np.ndarray:
-        """G0 + (1/2 pi) log r (nearest image); tends to the Robin constant."""
-        return self._field.eval_regular(pts, 0)
-
-    def mean(self) -> float:
-        """integral of G0 dx; zero by construction."""
-        return float(self._field.band.modes[0, 0].real) + self.eta ** 2 / 2.0
-
-
-def flat_green(p, grid: TorusGrid) -> FlatGreen:
-    """Construct the flat-torus Green's function with source p."""
-    return FlatGreen(p, grid)
+def flat_green(p, grid: TorusGrid) -> SingularField:
+    """The flat-torus Green's function with source p,
+    -Delta_0 G0(., p) = delta_p - 1 with zero mean; its Robin constant,
+    the limit of G0 + (1/2 pi) log r at p, is eval_regular(p, 0)."""
+    p = np.asarray(p, dtype=float)
+    return SingularField(grid, [p], [1.0],
+                         _screened_remainder_modes(grid, p, split_width(grid)))
 
 
 @dataclass(frozen=True)
@@ -532,25 +509,20 @@ def green_pair_case2(p, metric: Metric,
                      descent=DescentReport.from_raw(raw, weight))
 
 
-def local_expansion(pair: GreenPair, which: int, at, rho_fit: float | None = None
-                    ) -> LocalExpansion:
+def local_expansion(pair: GreenPair, which: int, at) -> LocalExpansion:
     """Quadratic data of G_which at one of the pair's points.
 
     The constant A is exact: it is the regular part eval_regular at the
-    pole, the same path as FlatGreen.robin, so no fit bias enters the
-    closing constants built from it.  The log term is subtracted
-    analytically and lambda, mu, alpha, beta, gamma are least-squares
-    fits on the disc of radius rho_fit (default 8h) with a full degree-3
-    basis, so the cubic content does not bias them; the cubic
+    pole, so no fit bias enters the closing constants built from it.
+    The log term is subtracted analytically and lambda, mu, alpha, beta,
+    gamma are least-squares fits on the disc of radius 8h with a full
+    degree-3 basis, so the cubic content does not bias them; the cubic
     coefficients are then discarded.  Coefficients are reported in
     locally normalized coordinates (see MetricExpansion).
     """
     grid = pair.grid
     at = np.asarray(at, dtype=float)
-    if rho_fit is None:
-        rho_fit = 8.0 * grid.h
-    if not (6.0 * grid.h <= rho_fit <= 16.0 * grid.h):
-        raise ConfigError(f"rho_fit must lie in [6h, 16h], got {rho_fit:.4g}")
+    rho_fit = 8.0 * grid.h
     idx = None
     for j, pj in enumerate(pair.points):
         if np.linalg.norm(spectral.wrap_offset(at - pj)) < 1e-12:
@@ -591,11 +563,11 @@ def _local_scale(metric: Metric, at: np.ndarray) -> float:
     return math.exp(phi_p / 2.0)
 
 
-def extract_expansions(pair: GreenPair, rho_fit: float | None = None) -> None:
+def extract_expansions(pair: GreenPair) -> None:
     """Fit every (field, point) combination and cache it on the pair."""
     for which in (1, 2):
         for pj in pair.points:
-            local_expansion(pair, which, pj, rho_fit)
+            local_expansion(pair, which, pj)
 
 
 def expansion_trace_residual(exp: LocalExpansion) -> float:
@@ -638,16 +610,16 @@ def residual_sample_points(pair: GreenPair, count: int, seed: int = 7,
     return np.array(out)
 
 
-def equation_residuals(pair: GreenPair, count: int = 200, seed: int = 7,
-                       h_loc: float = 1e-4) -> dict:
+def equation_residuals(pair: GreenPair, count: int = 200) -> dict:
     """Independent finite-difference check of the defining equations.
 
     Samples points off the 8h discs, applies a 4th-order stencil with its
-    own spacing h_loc to the evaluated fields (never the spectral
+    own spacing h_loc = 1e-4 to the evaluated fields (never the spectral
     Laplacian of the same representation), and returns the sup-norms of
     the equation residuals plus the dV_g means.
     """
-    pts = residual_sample_points(pair, count, seed)
+    h_loc = 1e-4
+    pts = residual_sample_points(pair, count)
     metric = pair.metric
     if metric.is_flat:
         inv_w = np.ones(pts.shape[0])

@@ -49,7 +49,7 @@ __all__ = [
     "TestFunctionPair", "DeficitData", "FitReport",
     "coupling_L", "smoothstep", "smoothstep_deriv",
     "build_test_pair",
-    "evaluate_phi0", "phi0_breakdown", "field_on_grid",
+    "evaluate_phi0", "phi0_along", "phi0_breakdown", "field_on_grid",
     "deficit_data", "asymptotic_fit_case1", "asymptotic_fit_case2",
     "DEFAULT_EPS_LIST",
 ]
@@ -87,23 +87,20 @@ def _bubble(rho_over_eps):
 class TestFunctionPair:
     """Piecewise two-field test pair at scale eps with truncation L.
 
-    Branch bookkeeping per field k in {1, 2} and point index i:
-    expansions[(k, i)] supplies the log coefficient and the additive
-    matching data; `half[(k, i)]` says whether field k carries the full
-    bubble or minus half of one in the disc at point i; `disc_const` is
-    the additive constant of that disc branch; `outer_const[k]` is the
-    constant added to G_k outside (zero for the second field in the
-    one-point case, where the outer branch is G_2 itself).
+    The Green pair owns the metric, the points and the expansions:
+    pair.expansions[(k, i)] supplies field k's log coefficient, additive
+    matching data and chart scale at point i.  Branch bookkeeping per
+    field k in {1, 2} and point index i: `half[(k, i)]` says whether field
+    k carries the full bubble or minus half of one in the disc at point
+    i; `disc_const` is the additive constant of that disc branch;
+    `outer_const[k]` is the constant added to G_k outside (zero for the
+    second field in the one-point case, where the outer branch is G_2
+    itself).
     """
 
-    case_tag: str
     pair: GreenPair
-    metric: Metric
     eps: float
     L: float
-    points: list
-    scales: list
-    expansions: dict
     half: dict
     disc_const: dict
     outer_const: dict
@@ -113,7 +110,7 @@ class TestFunctionPair:
         return math.log1p(math.pi * self.L * self.L)
 
     def tilt(self, k: int, i: int):
-        e = self.expansions[(k, i)]
+        e = self.pair.expansions[(k, i)]
         return e.lam, e.mu
 
     def disc_profile(self, k: int, i: int, rho: np.ndarray) -> np.ndarray:
@@ -131,12 +128,11 @@ class TestFunctionPair:
         g = self.pair.field(which)
         le = self.L * self.eps
         out = g.eval(pts) + self.outer_const[which]
-        for i, p in enumerate(self.points):
-            c = self.scales[i]
+        for i, p in enumerate(self.pair.points):
+            e = self.pair.expansions[(which, i)]
             d = spectral.wrap_offset(pts - p)
-            z = c * d                      # locally normalized displacement
+            z = e.scale * d                # locally normalized displacement
             rho = np.sqrt((z ** 2).sum(axis=1))
-            e = self.expansions[(which, i)]
             in_disc = rho <= le
             in_band = (rho > le) & (rho < 2.0 * le)
             if np.any(in_band):
@@ -208,18 +204,13 @@ def build_test_pair(pair: GreenPair, eps: float,
         half = {(1, 0): False, (2, 0): True}
         disc_const = {(1, 0): 0.0, (2, 0): 2.0 * math.log(le) + A[(2, 0)]}
         outer_const = {1: 4.0 * math.log(le) - 2.0 * l1p - A[(1, 0)], 2: 0.0}
-    return TestFunctionPair(
-        case_tag=pair.case_tag, pair=pair, metric=pair.metric, eps=eps, L=L,
-        points=[np.asarray(p, dtype=float) for p in pair.points],
-        scales=[pair.expansions[(1, i)].scale
-                for i in range(len(pair.points))],
-        expansions=dict(pair.expansions), half=half,
-        disc_const=disc_const, outer_const=outer_const)
+    return TestFunctionPair(pair=pair, eps=eps, L=L, half=half,
+                            disc_const=disc_const, outer_const=outer_const)
 
 
 def field_on_grid(tf: TestFunctionPair, which: int) -> ScalarField:
     """Sample a test field on the metric's grid (for grid-based checks)."""
-    grid = tf.metric.grid
+    grid = tf.pair.grid
     vals = tf.eval_field(which, grid.points())
     return ScalarField(grid, vals.reshape(grid.n, grid.n))
 
@@ -258,7 +249,7 @@ class _StackEval:
     the value rows, a read-only view of every third row of the stack.
 
     It depends on the pair alone, so one evaluator serves every coupling
-    of a fit (_run_fit); it is not kept on the pair, whose retained
+    of a fit (phi0_along); it is not kept on the pair, whose retained
     copies would each hold its oversampled grids (4.8 MB at n=128).  For
     the same reason the fields' grid values are kept here, not on them."""
 
@@ -328,35 +319,42 @@ def _tilt_mass(metric: Metric, point, e: LocalExpansion) -> tuple:
     return b, -me.curvature / 2.0 + b
 
 
+# angles per circle of the point blocks, and the relative agreement at
+# which _refined accepts a quadrature level
+_THETA = 96
+_REFINE_TOL = 1e-11
+
+
 class _Phi0Evaluator:
     """One-shot evaluation context; builds node families, runs the
     region quadratures, and assembles the functional with a breakdown.
     `stack` is the pair's field evaluator, built here when not given."""
 
     def __init__(self, tf: TestFunctionPair, stitch: float = 2.0,
-                 theta: int = 96, tol: float = 1e-11,
                  stack: _StackEval | None = None):
         if not 2.0 <= stitch <= 4.0:
             raise ConfigError(f"stitch factor must lie in [2, 4], got {stitch}")
         self.tf = tf
+        self.pair = pair = tf.pair
         self.stitch = stitch
-        self.theta = theta
-        self.tol = tol
-        self.ev = _StackEval(tf.pair) if stack is None else stack
+        self.ev = _StackEval(pair) if stack is None else stack
         self.le = tf.L * tf.eps
         self.l1p = tf.log_one_plus_piL2
+        # each point's chart scale exp(phi(p)/2), as in its expansions
+        self.scales = [pair.expansions[(1, i)].scale
+                       for i in range(len(pair.points))]
         # chart radii per point: bubble disc, stitch circle, outer cutoff knot
-        self.r_disc = [self.le / c for c in tf.scales]
-        self.r_st = [stitch * self.le / c for c in tf.scales]
+        self.r_disc = [self.le / c for c in self.scales]
+        self.r_st = [stitch * self.le / c for c in self.scales]
         self.delta_cut = self._outer_radius()
         self.a_chi = [max(r, 0.6 * self.delta_cut) for r in self.r_st]
         self.pieces: dict[str, float] = {}
 
     def _outer_radius(self) -> float:
-        tf = self.tf
-        if len(tf.points) == 2:
+        points = self.pair.points
+        if len(points) == 2:
             sep = float(np.sqrt((spectral.wrap_offset(
-                tf.points[0] - tf.points[1]) ** 2).sum()))
+                points[0] - points[1]) ** 2).sum()))
             cap = 0.4 * sep
         else:
             cap = 0.25
@@ -373,7 +371,7 @@ class _Phi0Evaluator:
         """Fields on the circles of radii r_nodes around point i, at nth
         midpoint angles each: arrays shaped (radii, angles[, 2]), plus the
         angles' cosines "ct" and sines "st"."""
-        p = self.tf.points[i]
+        p = self.pair.points[i]
         th = (np.arange(nth) + 0.5) * (2.0 * math.pi / nth)
         ct, st = np.cos(th), np.sin(th)
         pts = np.empty((r_nodes.size * nth, 2))
@@ -393,7 +391,7 @@ class _Phi0Evaluator:
             if prev is not None:
                 scale = max(1.0, max(abs(v) for v in vals.values()))
                 err = max(abs(vals[key] - prev[key]) for key in vals)
-                if err <= self.tol * scale:
+                if err <= _REFINE_TOL * scale:
                     return vals
             older, prev = prev, vals
         raise AccuracyError(f"{what} did not converge; the last two levels "
@@ -427,16 +425,17 @@ class _Phi0Evaluator:
     def _point_block_on(self, i: int, r_nodes: np.ndarray,
                         r_w: np.ndarray) -> dict:
         tf = self.tf
-        c = tf.scales[i]
+        expansions = self.pair.expansions
+        c = self.scales[i]
         le = self.le
-        th_w = 2.0 * math.pi / self.theta
+        th_w = 2.0 * math.pi / _THETA
         rho = c * r_nodes                       # normalized radius
         eta = smoothstep(rho, le, 2.0 * le)
         in_band = rho > le
         # the disc radii come first; gradients enter on the band only
         nd = int(np.count_nonzero(~in_band))
-        disc = self._polar(i, r_nodes[:nd], self.theta, gradients=False)
-        data = self._polar(i, r_nodes[nd:], self.theta)
+        disc = self._polar(i, r_nodes[:nd], _THETA, gradients=False)
+        data = self._polar(i, r_nodes[nd:], _THETA)
         logrho = np.log(rho)
         w_area = ((r_nodes * r_w)[:, None] * th_w
                   * np.concatenate([disc["weight"], data["weight"]]))
@@ -448,7 +447,7 @@ class _Phi0Evaluator:
 
         H, G = {}, {}
         for k in (1, 2):
-            e: LocalExpansion = tf.expansions[(k, i)]
+            e: LocalExpansion = expansions[(k, i)]
             G[k] = np.concatenate([disc[f"G{k}"], data[f"G{k}"]])
             H[k] = (G[k] - (e.a * logrho[:, None] + e.A
                             + e.lam * z1 + e.mu * z2))
@@ -459,7 +458,7 @@ class _Phi0Evaluator:
         etad = smoothstep_deriv(rho_b, le, 2.0 * le)[:, None] * c  # chart
         bx, by = {}, {}
         for k in (1, 2):
-            e = tf.expansions[(k, i)]
+            e = expansions[(k, i)]
             dG = data[f"dG{k}"]
             radial = (e.a / rho_b)[:, None] * c
             dHx = dG[:, :, 0] - radial * ct[None, :] - c * e.lam
@@ -470,7 +469,7 @@ class _Phi0Evaluator:
 
         out = {}
         band_w = np.where(in_band, r_nodes * r_w, 0.0)[:, None] * th_w
-        dens = np.zeros((r_nodes.size, self.theta))   # 0 where band_w is 0
+        dens = np.zeros((r_nodes.size, _THETA))   # 0 where band_w is 0
         for k, m in ((1, 1), (2, 2), (1, 2)):
             dens[nd:] = bx[k] * bx[m] + by[k] * by[m]
             out[f"dir_{k}{m}"] = float(np.sum(dens * band_w))
@@ -478,7 +477,7 @@ class _Phi0Evaluator:
         # mean-term corrections: -eta*H on the band, smooth remainder on
         # the disc (log part and bubble part are closed-form elsewhere)
         for k in (1, 2):
-            e = tf.expansions[(k, i)]
+            e = expansions[(k, i)]
             out[f"mean_band_{k}"] = float(np.sum(
                 np.where(in_band[:, None], -eta[:, None] * H[k] * w_area, 0.0)))
             greg = G[k] - e.a * logrho[:, None]
@@ -492,14 +491,14 @@ class _Phi0Evaluator:
         # bookkeeping at the *other* point and the one-point system)
         l2e = 2.0 * math.log(tf.eps)
         for k in (1, 2):
-            phi_band = G[k] - eta[:, None] * H[k] + self.tf.outer_const[k]
+            phi_band = G[k] - eta[:, None] * H[k] + tf.outer_const[k]
             out[f"exp_band_{k}"] = float(np.sum(np.where(
                 in_band[:, None], np.exp(phi_band - l2e) * w_area, 0.0)))
-            if tf.expansions[(k, i)].a > 0:
+            if expansions[(k, i)].a > 0:
                 # vanishing singular point: e^{G_k} ~ rho^2, integrable disc
                 out[f"exp_gdisc_{k}"] = float(np.sum(np.exp(G[k]) * w_area))
 
-        if tf.case_tag == "two":
+        if self.pair.case_tag == "two":
             eg2 = np.exp(G[2])
             for k in (1, 2):
                 out[f"green_disc_g2w_{k}"] = float(np.sum(
@@ -556,32 +555,32 @@ class _Phi0Evaluator:
     def _grid_exp(self, k: int, i: int) -> float:
         """Masked grid sum of e^{G_k} dV_g outside the dyadic ring, scaled
         by eps^-2."""
-        tf = self.tf
-        grid = tf.metric.grid
+        metric = self.pair.metric
+        grid = metric.grid
         gvals = self.ev.grid_values(k)
         X, Y = grid.mesh()
-        p = tf.points[i]
+        p = self.pair.points[i]
         r = np.sqrt(spectral.wrap_offset(X - p[0]) ** 2
                     + spectral.wrap_offset(Y - p[1]) ** 2)
         chi = 1.0 - smoothstep(r, self.a_chi[i], self.delta_cut)  # 0 near p
         mask = chi > 0.0
         expv = np.zeros_like(gvals)
-        expv[mask] = np.exp(gvals[mask] - 2.0 * math.log(tf.eps))
-        return float(np.mean(chi * expv * tf.metric.weight))
+        expv[mask] = np.exp(gvals[mask] - 2.0 * math.log(self.tf.eps))
+        return float(np.mean(chi * expv * metric.weight))
 
     # -- assembly -----------------------------------------------------------
 
     def run(self) -> dict:
-        tf = self.tf
+        tf, pair = self.tf, self.pair
         eps, L = tf.eps, tf.L
         le = self.le
         t = math.pi * L * L
         pieces = self.pieces
         E_L = bubble_dirichlet_energy(L)
         W_L = _bubble_area_integral(L)
-        qmass = {key: _tilt_mass(tf.metric, tf.points[key[1]], e)[1]
-                 for key, e in tf.expansions.items() if not tf.half[key]}
-        npts = len(tf.points)
+        qmass = {key: _tilt_mass(pair.metric, pair.points[key[1]], e)[1]
+                 for key, e in pair.expansions.items() if not tf.half[key]}
+        npts = len(pair.points)
 
         blocks = [self._point_block(i) for i in range(npts)]
         fluxes = [self._flux_block(i) for i in range(npts)]
@@ -610,13 +609,13 @@ class _Phi0Evaluator:
         means = {}
         for k in (1, 2):
             base = tf.outer_const[k]
-            if tf.case_tag == "two" and k == 2:
-                base += tf.pair.mean_G2
+            if pair.case_tag == "two" and k == 2:
+                base += pair.mean_G2
             corr = 0.0
             for i in range(npts):
-                c = tf.scales[i]
+                c = self.scales[i]
                 r_disc = self.r_disc[i]
-                e = tf.expansions[(k, i)]
+                e = pair.expansions[(k, i)]
                 area_flat = math.pi * r_disc * r_disc
                 # bubble branch minus (G_k + C_k), log part in closed form
                 if tf.half[(k, i)]:
@@ -631,7 +630,7 @@ class _Phi0Evaluator:
                 corr += (wpart + const_part + logpart
                          - blocks[i][f"mean_disc_reg_{k}"]
                          + blocks[i][f"mean_band_{k}"])
-                if not tf.metric.is_flat:
+                if not pair.metric.is_flat:
                     corr += self._curved_disc_mean(k, i)
             means[k] = base + corr
             pieces[f"mean_{k}"] = means[k]
@@ -650,10 +649,10 @@ class _Phi0Evaluator:
                 dc = tf.disc_const[(k, j)]
                 half_piece += (math.exp(dc) / (1.0 + t)
                                * math.pi * L * L * (1.0 + t / 2.0)
-                               / tf.scales[j] ** 2)
+                               / self.scales[j] ** 2)
             pieces[f"exp_half_{k}"] = half_piece
             band = sum(blocks[i][f"exp_band_{k}"] for i in range(npts))
-            if tf.case_tag == "two" and k == 2:
+            if pair.case_tag == "two" and k == 2:
                 # outer branch is G_2 itself with unit total mass
                 small = ((disc + half_piece + band) * eps * eps
                          - blocks[0]["exp_g2_disc"])
@@ -684,25 +683,25 @@ class _Phi0Evaluator:
                       + self._outer_source_one_way(m, k, blocks))
 
     def _outer_source_one_way(self, k: int, m: int, blocks) -> float:
-        tf = self.tf
+        pair = self.pair
         full_gk = 0.0 if k == 1 else (
-            tf.pair.mean_G2 if tf.case_tag == "two" else 0.0)
+            pair.mean_G2 if pair.case_tag == "two" else 0.0)
         disc_gk = []
-        for i in range(len(tf.points)):
-            e = tf.expansions[(k, i)]
-            c = tf.scales[i]
+        for i in range(len(pair.points)):
+            e = pair.expansions[(k, i)]
+            c = self.scales[i]
             r_st = self.r_st[i]
             area = math.pi * r_st * r_st
             disc_gk.append(e.a * (_log_disc_integral(r_st)
                                   + math.log(c) * area)
                            + blocks[i][f"green_disc_reg_{k}"])
-        if tf.case_tag == "one":
+        if pair.case_tag == "one":
             # Lap G_m = 4 pi e^phi off the sources
             return FOUR_PI * (sum(disc_gk) - full_gk)
         # one-point case: Lap G_1 = 4 pi (e^{G2} + 1) e^phi,
         #                 Lap G_2 = 4 pi (1 - 2 e^{G2}) e^phi
-        gk_eg2_full = tf.pair.field(k).integral_against(
-            tf.pair.exp_G2_values * tf.metric.weight)
+        gk_eg2_full = pair.field(k).integral_against(
+            pair.exp_G2_values * pair.metric.weight)
         gk_eg2_disc = blocks[0][f"green_disc_g2w_{k}"]
         plain = full_gk - disc_gk[0]
         weighted = gk_eg2_full - gk_eg2_disc
@@ -723,23 +722,21 @@ class _Phi0Evaluator:
         r_nodes, r_w = _panel_nodes(np.asarray(edges[::-1]), 10)
         nth = 32
         wgt = self._polar(i, r_nodes, nth, gradients=False)["weight"]
-        rho = tf.scales[i] * r_nodes
+        rho = self.scales[i] * r_nodes
+        a = self.pair.expansions[(k, i)].a
         branch = (tf.disc_profile(k, i, rho) + tf.disc_const[(k, i)]
-                  - tf.outer_const[k] - tf.expansions[(k, i)].a * np.log(rho))
+                  - tf.outer_const[k] - a * np.log(rho))
         integrand = branch[:, None] * (wgt - 1.0)
         th_w = 2.0 * math.pi / nth
         return float(np.sum(integrand * (r_nodes * r_w)[:, None]) * th_w)
 
 
-def evaluate_phi0(tf: TestFunctionPair, metric: Metric | None = None,
-                  stitch: float = 2.0, stack: _StackEval | None = None
-                  ) -> float:
+def evaluate_phi0(tf: TestFunctionPair, stitch: float = 2.0,
+                  stack: _StackEval | None = None) -> float:
     """Value of the limiting functional on the test pair.
 
     stack, a _StackEval of tf's pair, is reused instead of built anew:
-    a fit over several couplings of one pair passes one."""
-    if metric is not None and metric is not tf.metric:
-        raise ConfigError("metric does not match the test pair's metric")
+    phi0_along passes one to every row."""
     if stack is not None and stack.fields != (tf.pair.G1, tf.pair.G2):
         raise ConfigError("field evaluator belongs to another pair")
     return _Phi0Evaluator(tf, stitch=stitch, stack=stack).run()["value"]
@@ -748,6 +745,20 @@ def evaluate_phi0(tf: TestFunctionPair, metric: Metric | None = None,
 def phi0_breakdown(tf: TestFunctionPair, stitch: float = 2.0) -> dict:
     """Region-by-region pieces of the functional (diagnostics)."""
     return _Phi0Evaluator(tf, stitch=stitch).run()
+
+
+def phi0_along(pair: GreenPair, eps_list, L: float | None) -> list:
+    """Rows {"eps", "L", "phi0"}: evaluate_phi0 on the test pair at each
+    eps, with truncation L (coupling_L(eps) if None, as in
+    build_test_pair).  Every row shares one field evaluator, whose
+    oversampled grids serve them all."""
+    stack = _StackEval(pair)
+    rows = []
+    for eps in eps_list:
+        tf = build_test_pair(pair, eps, L)
+        rows.append({"eps": eps, "L": tf.L,
+                     "phi0": evaluate_phi0(tf, stack=stack)})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -764,13 +775,14 @@ class DeficitData:
     coeff: float
 
 
-def deficit_data(pair: GreenPair, metric: Metric) -> DeficitData:
+def deficit_data(pair: GreenPair) -> DeficitData:
     """Quadratic tilt masses B, the combinations M, and the deficit slope
     coefficient they produce."""
     _require_expansions(pair)
     bvals, mvals = {}, {}
     for k, i in ([(1, 0), (2, 1)] if pair.case_tag == "one" else [(1, 0), (2, 0)]):
-        b, qm = _tilt_mass(metric, pair.points[i], pair.expansions[(k, i)])
+        b, qm = _tilt_mass(pair.metric, pair.points[i],
+                           pair.expansions[(k, i)])
         bvals[k] = b
         mvals[k] = qm / math.pi
     if pair.case_tag == "one":
@@ -815,8 +827,7 @@ def _check_eps_list(eps_list) -> list:
     return eps_list
 
 
-def _run_fit(pair: GreenPair, metric: Metric, eps_list,
-             constant: float) -> tuple:
+def _run_fit(pair: GreenPair, eps_list, constant: float) -> tuple:
     """Evaluate the functional along eps_list and fit the deficit slope.
 
     Each remainder phi0 - constant is modelled as
@@ -839,14 +850,11 @@ def _run_fit(pair: GreenPair, metric: Metric, eps_list,
     Returns (rows, s, standard error of s from the residual variance
     with len(rows) - 3 degrees of freedom).
     """
-    rows = []
-    stack = _StackEval(pair)      # its oversampled grids serve every row
-    for eps in eps_list:
-        tf = build_test_pair(pair, eps)
-        val = evaluate_phi0(tf, metric, stack=stack)
-        g = eps * eps * (-math.log(eps * eps))
-        rows.append({"eps": eps, "L": tf.L, "phi0": val,
-                     "remainder": val - constant, "regressor": g})
+    rows = phi0_along(pair, eps_list, None)
+    for row in rows:
+        eps = row["eps"]
+        row["remainder"] = row["phi0"] - constant
+        row["regressor"] = eps * eps * (-math.log(eps * eps))
     eps = np.array([r["eps"] for r in rows])
     L = np.array([r["L"] for r in rows])
     design = np.stack([-np.log(eps * eps), np.ones_like(eps),
@@ -862,13 +870,16 @@ def _run_fit(pair: GreenPair, metric: Metric, eps_list,
 def asymptotic_fit_case1(pair: GreenPair, metric: Metric,
                          eps_list=DEFAULT_EPS_LIST) -> FitReport:
     """Deficit fit for the two-point pair: remainder over the closing
-    constant, regressed as described in _run_fit."""
+    constant, regressed as described in _run_fit.  metric must be
+    pair.metric."""
+    if metric is not pair.metric:
+        raise ConfigError("metric does not match the pair's metric")
     eps_list = _check_eps_list(eps_list)
     _require_expansions(pair)
     const = lower_bound_case1(pair.expansions[(1, 0)].A,
                               pair.expansions[(2, 1)].A)
-    dd = deficit_data(pair, metric)
-    rows, slope, stderr = _run_fit(pair, metric, eps_list, const)
+    dd = deficit_data(pair)
+    rows, slope, stderr = _run_fit(pair, eps_list, const)
     return FitReport(case_tag="one", constant_used=const, rows=rows,
                      fitted_slope=slope, slope_stderr=stderr,
                      target_slope=-dd.coeff)
@@ -878,7 +889,9 @@ def asymptotic_fit_case2(pair: GreenPair, metric: Metric,
                          eps_list=DEFAULT_EPS_LIST) -> FitReport:
     """Deficit fit for the one-point pair; reports both candidate closing
     constants (they differ in the literature-facing bookkeeping and are
-    never merged)."""
+    never merged).  metric must be pair.metric."""
+    if metric is not pair.metric:
+        raise ConfigError("metric does not match the pair's metric")
     eps_list = _check_eps_list(eps_list)
     if pair.descent is not None and not pair.descent.converged:
         raise SolverError(f"one-point pair did not converge "
@@ -886,8 +899,8 @@ def asymptotic_fit_case2(pair: GreenPair, metric: Metric,
     _require_expansions(pair)
     const = lower_bound_case2(pair.expansions[(1, 0)].A, pair.mean_G2)
     alt = case2_closing_constant(pair.mean_G2)
-    dd = deficit_data(pair, metric)
-    rows, slope, stderr = _run_fit(pair, metric, eps_list, const)
+    dd = deficit_data(pair)
+    rows, slope, stderr = _run_fit(pair, eps_list, const)
     return FitReport(case_tag="two", constant_used=const, rows=rows,
                      fitted_slope=slope, slope_stderr=stderr,
                      target_slope=-dd.coeff, constant_alternate=alt)

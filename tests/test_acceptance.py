@@ -19,9 +19,8 @@ from todalab.bubble import (CapacityProblem, bubble_dirichlet_energy,
                             bubble_mass, bubble_pde_residual, capacity_energy,
                             lower_bound_case1)
 from todalab.diagnostics import sweep
-from todalab.functional import (CartanMatrix, SolverOptions, TodaState,
-                                el_residual, minimize_phi_eps, phi_eps,
-                                phi_eps_gradient, phi_general)
+from todalab.functional import (SolverOptions, TodaState, el_residual,
+                                minimize_phi_eps, phi_eps, phi_eps_gradient)
 from todalab.geometry import make_flat_torus
 from todalab.greens import (equation_residuals, extract_expansions,
                             green_pair_case1, green_pair_case2,
@@ -29,7 +28,7 @@ from todalab.greens import (equation_residuals, extract_expansions,
 from todalab.spectral import ScalarField
 from todalab.testfn import (DEFAULT_EPS_LIST, asymptotic_fit_case1,
                             asymptotic_fit_case2)
-from torus_integrals import integrate
+from torus_integrals import integrate, phi_general
 
 PI = math.pi
 FOUR_PI = 4.0 * math.pi
@@ -191,7 +190,6 @@ def test_criterion_07_functional_consistency():
     metric = make_flat_torus(64)
     grid = metric.grid
     rng = np.random.default_rng(11)
-    cartan = CartanMatrix.su(2)
 
     subst_worst = 0.0
     for _ in range(20):
@@ -202,7 +200,7 @@ def test_criterion_07_functional_consistency():
         v1 = ScalarField(grid, (2 * u1.values + u2.values) / 3.0)
         v2 = ScalarField(grid, (u1.values + 2 * u2.values) / 3.0)
         state = TodaState(u=(v1, v2), masses=(FOUR_PI - eps, FOUR_PI - eps))
-        general = phi_general(state, cartan, metric)
+        general = phi_general(state, metric)
         subst_worst = max(subst_worst,
                           abs(direct - general) / max(1.0, abs(direct)))
 

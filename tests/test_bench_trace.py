@@ -2,9 +2,10 @@
 
 perfbench/spans.py wraps `run_descent` where `functional` and `greens` look
 it up, takes its third positional argument as the energy-and-gradient
-callable and reads `.iterations` from its result.  A traced run that
-reports zero iterations or zero energy calls means the wrapping no longer
-reaches the solves.
+callable and reads `.iterations` from its result; it wraps
+`testfn.evaluate_phi0` where the fit rows look it up.  A traced run that
+reports zero iterations, zero energy calls or zero phi0 evaluations means
+the wrapping no longer reaches the solves or the fit rows.
 """
 
 import json
@@ -17,7 +18,18 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["green-one-pole", "minimize-curved"])
+# the counters each workload's traced round must read above zero
+COUNTERS = {
+    "deficit-two-pole": ("testfn.evaluate_phi0.calls",),
+    "green-one-pole": ("functional.iterations",
+                       "functional.energy_grad.calls",
+                       "testfn.evaluate_phi0.calls"),
+    "minimize-curved": ("functional.iterations",
+                        "functional.energy_grad.calls"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(COUNTERS))
 def test_traced_benchmark_counts_descent_work(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),
@@ -29,5 +41,5 @@ def test_traced_benchmark_counts_descent_work(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     metrics = result["metrics"]
-    assert metrics["functional.iterations"]["value"] > 0
-    assert metrics["functional.energy_grad.calls"]["value"] > 0
+    for name in COUNTERS[workload]:
+        assert metrics[name]["value"] > 0, name

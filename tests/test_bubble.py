@@ -6,7 +6,6 @@ from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
 from todalab.bubble import (
-    BubbleWindow,
     CapacityProblem,
     bubble_dirichlet_energy,
     bubble_mass,
@@ -167,10 +166,3 @@ def test_lower_bound_case2_and_alternate():
     assert case2_closing_constant(1.0) - case2_closing_constant(0.0) == \
         pytest.approx(2.0, abs=1e-12)
 
-
-def test_bubble_window_validation():
-    BubbleWindow(L=5.0, eps=0.02)
-    with pytest.raises(ConfigError):
-        BubbleWindow(L=5.0, eps=0.06)  # radius 0.3 >= 1/4
-    with pytest.raises(ConfigError):
-        BubbleWindow(L=-1.0, eps=0.02)

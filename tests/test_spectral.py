@@ -1,13 +1,16 @@
 import ast
 import gc
+import importlib
 import math
 import pathlib
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import todalab
 from todalab import spectral
 from todalab.errors import ConfigError, DataError, GridMismatchError, SolvabilityError
 from todalab.spectral import (
@@ -483,6 +486,15 @@ def test_only_spectral_references_fft():
              for path in sorted(src.glob("*.py"))}
     assert found.pop("spectral.py")               # the guard sees its uses
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition went is a broken import
+    for info in pkgutil.iter_modules(todalab.__path__):
+        module = importlib.import_module(f"todalab.{info.name}")
+        stale = [n for n in getattr(module, "__all__", ())
+                 if not hasattr(module, n)]
+        assert stale == [], (info.name, stale)
 
 
 def test_offgrid_rejects_wrong_grid():

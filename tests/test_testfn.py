@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from todalab import testfn
 from todalab.bubble import lower_bound_case1, lower_bound_case2, case2_closing_constant
 from todalab.errors import AccuracyError, ConfigError, GeometryError, SolverError
 from todalab.functional import SolverOptions
@@ -32,7 +33,7 @@ FOUR_PI = 4.0 * math.pi
 def brute_force_value(tf):
     """Grid-quadrature evaluation of the limiting functional, fully
     independent of the hybrid evaluator's region splitting."""
-    metric = tf.metric
+    metric = tf.pair.metric
     f1 = field_on_grid(tf, 1)
     f2 = field_on_grid(tf, 2)
     quad = (dirichlet_form(f1, f1) + dirichlet_form(f2, f2)
@@ -144,13 +145,13 @@ def test_breakdown_composition(pair1_128):
     assert bd["value"] == pytest.approx(recombined, abs=1e-12)
 
 
-def test_ring_block_converges(pair1_128):
+def test_ring_block_converges(pair1_128, monkeypatch):
     # at 10^-2.5 the cutoff's C^2 knot used to fall inside a dyadic panel,
     # and orders 16 and 24 differed by 1.2e-5 against tol = 1e-11
     ev = _Phi0Evaluator(build_test_pair(pair1_128, 10.0 ** -2.5))
     for k, own in ((1, 0), (2, 1)):
         assert ev._ring_block(k, own) > 0.0   # raises unless converged
-    ev.tol = -1.0
+    monkeypatch.setattr(testfn, "_REFINE_TOL", -1.0)
     with pytest.raises(AccuracyError) as info:
         ev._ring_block(1, 0)
     # the message holds the last two levels (orders 16 and 24), which differ
@@ -158,10 +159,20 @@ def test_ring_block_converges(pair1_128):
     assert older != last
 
 
-def test_metric_mismatch_rejected(pair1_128):
-    tf = build_test_pair(pair1_128, 0.02, 5.0)
-    with pytest.raises(ConfigError):
-        evaluate_phi0(tf, make_flat_torus(128))  # a different Metric object
+def test_fit_rejects_a_foreign_metric():
+    # a fit's metric must be the pair's own Metric object, not an equal
+    # one, and a mismatch stops it before any work: before the eps list
+    # check, the convergence check and the expansion fits
+    metric = make_flat_torus(64)
+    pair = green_pair_case1((0.25, 0.25), (0.75, 0.75), metric)
+    with pytest.raises(ConfigError, match="metric"):
+        asymptotic_fit_case1(pair, make_flat_torus(64), (1e-2, 1e-3))
+    assert pair.expansions == {}
+    one = green_pair_case2(np.array([0.5, 0.5]), metric,
+                           SolverOptions(max_iter=2))
+    with pytest.raises(ConfigError, match="metric"):
+        asymptotic_fit_case2(one, make_flat_torus(64))
+    assert one.expansions == {}
 
 
 def test_shared_field_evaluator(pair1_128):
@@ -175,12 +186,12 @@ def test_shared_field_evaluator(pair1_128):
 
 
 def test_deficit_targets_flat(pair1_128, pair2_256):
-    d1 = deficit_data(pair1_128, pair1_128.metric)
+    d1 = deficit_data(pair1_128)
     # flat metric, symmetric configuration: no curvature, no tilt
     assert d1.case_tag == "one"
     assert d1.coeff == pytest.approx(8.0 * math.pi, abs=1e-8)
     assert d1.B[1] == pytest.approx(0.0, abs=1e-12)
-    d2 = deficit_data(pair2_256, pair2_256.metric)
+    d2 = deficit_data(pair2_256)
     assert d2.coeff == pytest.approx(1.0, abs=1e-8)
 
 
