@@ -325,7 +325,11 @@ def cmd_solve(cfg: RunConfig) -> int:
         save_field(os.path.join(cfg.out_dir, f"u{i}.txt"), f)
     print(f"solve: {report.stop_reason} after {report.iterations} iterations; "
           f"report: {path}")
-    return EXIT_OK if not report.blown_up else EXIT_NUMERICAL
+    if not report.converged:
+        print(f"numerical failure: solve did not converge "
+              f"({report.stop_reason})", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 # --- green ------------------------------------------------------------

@@ -142,23 +142,46 @@ _Z_SKIP = 40.0
 _FAR_OFFSETS = _IMAGE_OFFSETS[np.any(_IMAGE_OFFSETS != 0.0, axis=1)]
 
 
-def _live_images(d: np.ndarray, eta: float,
-                 offsets: np.ndarray = _IMAGE_OFFSETS) -> np.ndarray:
-    """Displacements d + o, shape (m, k, 2), to the images o among
-    `offsets` that can reach r^2 / 2 eta^2 < _Z_SKIP for some row of the
-    wrapped displacements d (m, 2).
+def _live_images(points: np.ndarray, p, eta: float,
+                 offsets: np.ndarray = _IMAGE_OFFSETS) -> tuple:
+    """Wrapped displacements d from p to the points, (m, 2), and d + o,
+    (m, k, 2), for the images o among `offsets` that can reach
+    r^2 / 2 eta^2 < _Z_SKIP for some point (see _live_offsets)."""
+    raw = np.atleast_2d(points) - np.asarray(p)
+    d = spectral.wrap_offset(raw)
+    live = offsets if raw.shape[0] == 0 else _live_offsets(
+        raw.min(axis=0), raw.max(axis=0), eta, offsets)
+    return d, d[:, None, :] + live[None, :, :]
 
-    An image is dropped when the bounding box of d keeps it at or beyond
-    the skip radius with a relative margin of 1e-9, so only images whose
-    every term _screened would set to an exact zero (or exp(-E1) to an
-    exact 1) are left out."""
-    if d.shape[0] == 0:
-        return d[:, None, :] + offsets[None, :, :]
-    lo, hi = d.min(axis=0), d.max(axis=0)
-    gap = np.maximum(np.maximum(lo + offsets, -(hi + offsets)), 0.0)
-    z_min = (gap ** 2).sum(axis=1) / (2.0 * eta * eta)
-    live = offsets[z_min < _Z_SKIP * (1.0 + 1e-9)]
-    return d[:, None, :] + live[None, :, :]
+
+def _live_offsets(lo: np.ndarray, hi: np.ndarray, eta: float,
+                  offsets: np.ndarray = _IMAGE_OFFSETS) -> np.ndarray:
+    """The offsets o whose images can come within the skip radius of
+    displacements that lie, unwrapped, in the box [lo, hi].
+
+    Wrapping is monotone within one period cell, so along an axis where
+    the box lies in one cell the wrapped values lie between its ends
+    wrapped; across one wrap line they lie in [lo wrapped, 1/2] or in
+    [-1/2, hi wrapped], and across more anywhere in [-1/2, 1/2].  An
+    image is dropped when, along the axes, the nearest of these
+    intervals keeps it at or beyond the skip radius with a relative
+    margin of 1e-9, so only images whose every term _screened would set
+    to an exact zero (or exp(-E1) to an exact 1) are left out.  Deciding
+    from the box alone lets a caller skip a pole before wrapping any
+    point."""
+    w_lo, w_hi = spectral.wrap_offset(lo), spectral.wrap_offset(hi)
+    cuts = np.floor(hi + 0.5) - np.floor(lo + 0.5)   # wrap lines crossed
+
+    def gap(a, b):      # distance of [a, b] + o from 0, per axis
+        return np.maximum(np.maximum(a + offsets, -(b + offsets)), 0.0)
+
+    # per axis the wrapped values lie in [a1, b1] or in [a2, b2], one
+    # interval twice where no wrap line is crossed
+    a1, b1 = np.where(cuts <= 1, w_lo, -0.5), np.where(cuts == 0, w_hi, 0.5)
+    a2, b2 = np.where(cuts == 0, w_lo, -0.5), np.where(cuts <= 1, w_hi, 0.5)
+    nearest = np.minimum(gap(a1, b1), gap(a2, b2))
+    z_min = (nearest ** 2).sum(axis=1) / (2.0 * eta * eta)
+    return offsets[z_min < _Z_SKIP * (1.0 + 1e-9)]
 
 
 def _screened(z: np.ndarray, fn) -> np.ndarray:
@@ -169,38 +192,52 @@ def _screened(z: np.ndarray, fn) -> np.ndarray:
     return out
 
 
-def _displacements(points: np.ndarray, p) -> np.ndarray:
-    """Wrapped displacements from p to the points, (m, 2)."""
-    return spectral.wrap_offset(np.atleast_2d(points) - np.asarray(p))
+def _image_terms(points: np.ndarray, p, eta: float) -> tuple:
+    """Displacements d + o to the live images of p, (m, k, 2), their
+    squared lengths r^2 and z = r^2 / 2 eta^2, both (m, k)."""
+    dall = _live_images(points, p, eta)[1]
+    r2 = (dall ** 2).sum(axis=2)
+    return dall, r2, r2 / (2.0 * eta * eta)
+
+
+def _sum_of(z: np.ndarray) -> np.ndarray:
+    """sum over the images of (1/4 pi) E1(z); +inf at the source."""
+    with np.errstate(divide="ignore"):
+        vals = _screened(z, _exp1)
+    return vals.sum(axis=1) / (4.0 * math.pi)
+
+
+def _gradient_of(dall: np.ndarray, r2: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum over the images of the gradient of (1/4 pi) E1(z), (m, 2)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = -_screened(z, lambda zn: np.exp(-zn)) / (2.0 * math.pi * r2)
+    return (w[:, :, None] * dall).sum(axis=1)
 
 
 def _image_sum(points: np.ndarray, p, eta: float) -> np.ndarray:
     """sum over 3x3 images of (1/4 pi) E1(r^2 / 2 eta^2); +inf at the source."""
-    r2 = (_live_images(_displacements(points, p), eta) ** 2).sum(axis=2)
-    with np.errstate(divide="ignore"):
-        vals = _screened(r2 / (2.0 * eta * eta), _exp1)
-    return vals.sum(axis=1) / (4.0 * math.pi)
-
-
-def _image_sum_regular(points: np.ndarray, p, eta: float) -> np.ndarray:
-    """Image sum plus (1/2 pi) log r of the nearest image (finite at p)."""
-    d = _displacements(points, p)
-    r2 = (d ** 2).sum(axis=1)
-    z_near = r2 / (2.0 * eta * eta)
-    out = (_e1_plus_log(z_near) + math.log(2.0 * eta * eta)) / (4.0 * math.pi)
-    far = (_live_images(d, eta, _FAR_OFFSETS) ** 2).sum(axis=2)
-    out += _screened(far / (2.0 * eta * eta), _exp1).sum(axis=1) / (4.0 * math.pi)
-    return out
+    return _sum_of(_image_terms(points, p, eta)[2])
 
 
 def _image_gradient(points: np.ndarray, p, eta: float) -> np.ndarray:
     """Analytic gradient of the image sum; shape (m, 2)."""
-    dall = _live_images(_displacements(points, p), eta)
-    r2 = (dall ** 2).sum(axis=2)
-    z = r2 / (2.0 * eta * eta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = -_screened(z, lambda zn: np.exp(-zn)) / (2.0 * math.pi * r2)
-    return (w[:, :, None] * dall).sum(axis=1)
+    return _gradient_of(*_image_terms(points, p, eta))
+
+
+def _image_pass(points: np.ndarray, p, eta: float) -> tuple:
+    """The image sum and its gradient from one set of image terms."""
+    dall, r2, z = _image_terms(points, p, eta)
+    return _sum_of(z), _gradient_of(dall, r2, z)
+
+
+def _image_sum_regular(points: np.ndarray, p, eta: float) -> np.ndarray:
+    """Image sum plus (1/2 pi) log r of the nearest image (finite at p)."""
+    d, far = _live_images(points, p, eta, _FAR_OFFSETS)
+    r2 = (d ** 2).sum(axis=1)
+    z_near = r2 / (2.0 * eta * eta)
+    out = (_e1_plus_log(z_near) + math.log(2.0 * eta * eta)) / (4.0 * math.pi)
+    far = (far ** 2).sum(axis=2)
+    return out + _sum_of(far / (2.0 * eta * eta))
 
 
 def _phase(grid: TorusGrid, p) -> np.ndarray:
@@ -267,7 +304,7 @@ class SingularField:
         """Analytic/spectral gradient at arbitrary points; (m, 2)."""
         pts = np.atleast_2d(pts)
         return (spectral.eval_gradient_at(self.band, pts)
-                + self.image_gradients(pts))
+                + self._combine(_image_gradient, pts, None)[0])
 
     def image_values(self, pts: np.ndarray, strengths=None) -> np.ndarray:
         """Only the singular (image-sum) part: sum_i s_i V(x - p_i), (m,).
@@ -276,26 +313,45 @@ class SingularField:
         these poles in one pass and returns (F, m): each V(x - p_i) is
         computed once and combined with every row.
         """
-        return self._combine(_image_sum, pts, strengths)
+        return self._combine(_image_sum, pts, strengths)[0]
 
-    def image_gradients(self, pts: np.ndarray, strengths=None) -> np.ndarray:
-        """Gradient of the image-sum part only; shape (m, 2), or (F, m, 2)
-        with strengths as in image_values."""
-        return self._combine(_image_gradient, pts, strengths)
+    def image_gradients(self, pts: np.ndarray, strengths=None) -> tuple:
+        """The image-sum part and its gradient from one pass over each
+        pole's images: ((m,), (m, 2)), or ((F, m), (F, m, 2)) with
+        strengths as in image_values."""
+        return self._combine(_image_pass, pts, strengths)
 
-    def _combine(self, kernel, pts: np.ndarray, strengths):
+    def _combine(self, kernel, pts: np.ndarray, strengths) -> tuple:
+        """sum_i rows[:, i] * kernel(x - p_i) for each array the kernel
+        returns, in batches of points.  A pole whose images all lie out
+        of a batch's reach is skipped there: its terms would all be 0."""
         pts = np.atleast_2d(pts)
         rows = np.atleast_2d(self.strengths if strengths is None else strengths)
         parts = []
         for lo in range(0, max(pts.shape[0], 1), _IMAGE_CHUNK):
             batch = pts[lo:lo + _IMAGE_CHUNK]
-            acc = 0.0
-            for j, p in enumerate(self.points):
-                term = kernel(batch, p, self.eta)
-                acc = acc + rows[:, j].reshape((-1,) + (1,) * term.ndim) * term
+            acc = None
+            for j in self._poles_in_reach(batch):
+                terms = kernel(batch, self.points[j], self.eta)
+                if not isinstance(terms, tuple):    # one array per point
+                    terms = (terms,)
+                if acc is None:
+                    acc = [0.0] * len(terms)
+                acc = [a + rows[:, j].reshape((-1,) + (1,) * t.ndim) * t
+                       for a, t in zip(acc, terms)]
             parts.append(acc)
-        out = np.concatenate(parts, axis=1)
-        return out[0] if strengths is None else out
+        out = tuple(np.concatenate(part, axis=1) for part in zip(*parts))
+        return tuple(o[0] for o in out) if strengths is None else out
+
+    def _poles_in_reach(self, batch: np.ndarray) -> list:
+        """Indices of the poles with an image in reach of the batch
+        (_live_offsets on the batch's box, as _live_images decides); the
+        first pole when none is, so that the sums keep their shape."""
+        if batch.shape[0] == 0:
+            return list(range(len(self.points)))
+        lo, hi = batch.min(axis=0), batch.max(axis=0)
+        return [j for j, p in enumerate(self.points)
+                if _live_offsets(lo - p, hi - p, self.eta).size] or [0]
 
     def grid_values(self) -> np.ndarray:
         """Raw grid values, (n, n) (+inf at grid-aligned singular points).
@@ -317,7 +373,7 @@ class SingularField:
         for p, s in zip(self.points, self.strengths):
             if abs(s + 4.0 * math.pi) > 1e-12:
                 raise ConfigError("stable exponential needs strength -4 pi")
-            dall = _live_images(_displacements(pts, p), self.eta)
+            dall = _live_images(pts, p, self.eta)[1]
             z = (dall ** 2).sum(axis=2) / (2.0 * self.eta * self.eta)
             out = out * np.prod(_exp_neg_e1(z), axis=1)
         return out.reshape(self.grid.n, self.grid.n)

@@ -398,17 +398,18 @@ def _contract(fine: np.ndarray, points: np.ndarray) -> np.ndarray:
         fine, shape=(size, size, w, w * nf), strides=(s0, s1, s0, s2),
         writeable=False)
     off = np.arange(w)
+    d = points * size
+    corner = np.floor(d - w / 2.0).astype(np.int64) + 1   # first node
+    d -= corner                               # in (w/2 - 1, w/2]
+    corner %= size
     out = np.empty((nf, points.shape[0]))
     for lo in range(0, points.shape[0], _EVAL_CHUNK):
-        t = points[lo:lo + _EVAL_CHUNK] * size
-        first = np.floor(t - w / 2.0).astype(np.int64) + 1
-        d = t - first                         # in (w/2 - 1, w/2]
-        kx = _es_kernel(2.0 * (d[:, :1] - off) / w)
-        ky = _es_kernel(2.0 * (d[:, 1:] - off) / w)
-        corner = first % size
-        blk = blocks[corner[:, 0], corner[:, 1]]            # (c, w, w*F)
-        rows = np.matmul(kx[:, None, :], blk).reshape(-1, w, nf)
-        out[:, lo:lo + _EVAL_CHUNK] = np.einsum("cbf,cb->fc", rows, ky)
+        hi = lo + _EVAL_CHUNK
+        # kxy[:, 0] and kxy[:, 1]: the x and y kernel factors, (c, 2, w)
+        kxy = _es_kernel(2.0 * (d[lo:hi, :, None] - off) / w)
+        blk = blocks[corner[lo:hi, 0], corner[lo:hi, 1]]   # (c, w, w*F)
+        rows = np.matmul(kxy[:, :1, :], blk).reshape(-1, w, nf)
+        out[:, lo:hi] = np.einsum("cbf,cb->fc", rows, kxy[:, 1])
         del blk, rows      # else the next gather runs while this one lives
     return out
 

@@ -244,14 +244,16 @@ class _StackEval:
     """Batched exact evaluation of a pair's two Green's fields (+metric
     exponent) at scattered points: one off-grid pass for all mode arrays,
     whose oversampled grid is built once per evaluator (the stack is
-    read-only), and one image sum per pole for both fields (a GreenPair's
-    fields share their poles).  A call without gradients evaluates only
-    the value rows, a read-only view of every third row of the stack.
+    read-only), and one image pass per pole for both fields' values and
+    gradients (a GreenPair's fields share their poles).  A call without
+    gradients evaluates only the value rows, a read-only view of every
+    third row of the stack, and the image values.
 
     It depends on the pair alone, so one evaluator serves every coupling
     of a fit (phi0_along); it is not kept on the pair, whose retained
     copies would each hold its oversampled grids (4.8 MB at n=128).  For
-    the same reason the fields' grid values are kept here, not on them."""
+    the same reason the fields' grid values, and the one-point pair's
+    integrals against e^{G2} dV_g, are kept here, not on them."""
 
     def __init__(self, pair: GreenPair):
         metric = pair.metric
@@ -270,7 +272,9 @@ class _StackEval:
         self.value_rows = self.stack[::3]     # G1, G2 (and phi): no gradients
         self.strengths = np.array([g.strengths for g in self.fields])
         self.grid = grid
+        self.pair = pair
         self._grid_values = {}
+        self._exp_g2_integrals = {}
 
     def grid_values(self, k: int) -> np.ndarray:
         """Grid values of field k (1 or 2), computed on first use."""
@@ -278,14 +282,24 @@ class _StackEval:
             self._grid_values[k] = self.fields[k - 1].grid_values()
         return self._grid_values[k]
 
+    def exp_g2_integral(self, k: int) -> float:
+        """integral of G_k e^{G2} dV_g over the torus (one-point pair),
+        computed on first use."""
+        if k not in self._exp_g2_integrals:
+            pair = self.pair
+            self._exp_g2_integrals[k] = pair.field(k).integral_against(
+                pair.exp_G2_values * pair.metric.weight)
+        return self._exp_g2_integrals[k]
+
     def __call__(self, pts: np.ndarray, gradients: bool = True) -> dict:
         rows = 3 if gradients else 1        # stack rows per field
         res = spectral.eval_modes_stack_at(
             self.grid, self.stack if gradients else self.value_rows, pts)
         g1 = self.fields[0]
-        images = g1.image_values(pts, self.strengths)
         if gradients:
-            image_grads = g1.image_gradients(pts, self.strengths)
+            images, image_grads = g1.image_gradients(pts, self.strengths)
+        else:
+            images = g1.image_values(pts, self.strengths)
         out = {}
         for j, (k, g) in enumerate(zip((1, 2), self.fields)):
             out[f"G{k}"] = res[rows * j] + g.const + images[j]
@@ -700,8 +714,7 @@ class _Phi0Evaluator:
             return FOUR_PI * (sum(disc_gk) - full_gk)
         # one-point case: Lap G_1 = 4 pi (e^{G2} + 1) e^phi,
         #                 Lap G_2 = 4 pi (1 - 2 e^{G2}) e^phi
-        gk_eg2_full = pair.field(k).integral_against(
-            pair.exp_G2_values * pair.metric.weight)
+        gk_eg2_full = self.ev.exp_g2_integral(k)
         gk_eg2_disc = blocks[0][f"green_disc_g2w_{k}"]
         plain = full_gk - disc_gk[0]
         weighted = gk_eg2_full - gk_eg2_disc

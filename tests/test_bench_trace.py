@@ -3,9 +3,13 @@
 perfbench/spans.py wraps `run_descent` where `functional` and `greens` look
 it up, takes its third positional argument as the energy-and-gradient
 callable and reads `.iterations` from its result; it wraps
-`testfn.evaluate_phi0` where the fit rows look it up.  A traced run that
-reports zero iterations, zero energy calls or zero phi0 evaluations means
-the wrapping no longer reaches the solves or the fit rows.
+`testfn.evaluate_phi0` where the fit rows look it up.  It counts off-grid
+points in `spectral.eval_modes_at`/`eval_modes_stack_at` and times image
+sums only in the `SingularField` methods it names (`eval`, `eval_regular`,
+`eval_gradient`, `image_values`, `image_gradients`).  A traced run that
+reports zero iterations, zero energy calls, zero phi0 evaluations, zero
+off-grid points or no image-sum time means the wrapping no longer reaches
+the solves, the fit rows, the off-grid sums or the image sums.
 """
 
 import json
@@ -20,10 +24,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # the counters each workload's traced round must read above zero
 COUNTERS = {
-    "deficit-two-pole": ("testfn.evaluate_phi0.calls",),
+    "deficit-two-pole": ("testfn.evaluate_phi0.calls",
+                         "spectral.offgrid.points", "greens.image.s"),
     "green-one-pole": ("functional.iterations",
                        "functional.energy_grad.calls",
-                       "testfn.evaluate_phi0.calls"),
+                       "testfn.evaluate_phi0.calls",
+                       "spectral.offgrid.points", "greens.image.s"),
     "minimize-curved": ("functional.iterations",
                         "functional.energy_grad.calls"),
 }

@@ -199,6 +199,35 @@ def test_solve_flat(tmp_path, capsys):
         assert np.max(np.abs(vals)) == 0.0
 
 
+@pytest.mark.parametrize("stop", ["stagnation", "line_search", "nondescent",
+                                  "max_iter", "ceiling"])
+def test_solve_unconverged_exits_2_with_one_line(tmp_path, capsys,
+                                                 monkeypatch, stop):
+    # the zero start converges at once, so the descent is replaced by one
+    # that stops short: the report and the fields are still written
+    from dataclasses import replace
+
+    from todalab import cli
+
+    real = cli.minimize_phi_eps
+
+    def stopped_short(*args):
+        final, report = real(*args)
+        return final, replace(report, stop_reason=stop)
+
+    monkeypatch.setattr(cli, "minimize_phi_eps", stopped_short)
+    path = write_config(tmp_path, "grid.n = 16\neps = 0.5\n")
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"solve: {stop} after 0 iterations" in captured.out
+    assert captured.err == (f"numerical failure: solve did not converge "
+                            f"({stop})\n")
+    payload = json.loads((tmp_path / "solve.json").read_text())
+    assert payload["stop_reason"] == stop
+    assert payload["converged"] is False
+    assert (tmp_path / "u1.txt").exists() and (tmp_path / "u2.txt").exists()
+
+
 def test_solve_requires_eps(tmp_path, capsys):
     path = write_config(tmp_path, "grid.n = 64\n")
     assert main(["solve", "--config", path]) == 64

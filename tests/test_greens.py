@@ -408,3 +408,177 @@ def test_culled_image_sums_match_nine_images(n):
     assert np.all(np.abs(got - ref) <= 1e-15 * ref)
     if n >= 64:
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_fused_image_pass_matches_nine_images(n):
+    from todalab.greens import (_Z_SKIP, _exp1, _image_gradient, _image_pass,
+                                _image_sum, SingularField, split_width)
+
+    grid = TorusGrid(n)
+    eta = split_width(grid)
+    rng = np.random.default_rng(100 + n)
+    p = np.array([0.93, 0.11])
+    pts = image_batch(n, p, rng)
+    dall, r2, z = nine_image_terms(pts, p, eta)
+    live = z < _Z_SKIP
+    single = live.sum(axis=1) <= 1
+
+    values, grads = _image_pass(pts, p, eta)
+    ref = (np.where(live, _exp1(np.where(live, z, 1.0)), 0.0)
+           / (4 * math.pi)).sum(axis=1)
+    assert np.all(np.abs(values - ref) <= 1e-15 * values)
+    assert np.array_equal(values[single], ref[single])
+    parts = np.where(live, -np.exp(-z) / (2 * math.pi * r2), 0.0)[:, :, None] \
+        * dall
+    ref = parts.sum(axis=1)
+    assert np.all(np.abs(grads - ref) <= 1e-15 * np.abs(parts).sum(axis=1))
+    assert np.array_equal(grads[single], ref[single])
+    # one pass gives bit-for-bit what the two separate kernels give
+    assert np.array_equal(values, _image_sum(pts, p, eta))
+    assert np.array_equal(grads, _image_gradient(pts, p, eta))
+
+    # and so does a field's combined pass, for one row and for several
+    q = np.array([0.4, 0.6])
+    field = SingularField(grid, [p, q], [8 * math.pi, -4 * math.pi],
+                          np.zeros(grid.mode_shape, dtype=complex))
+    rows = np.array([[8 * math.pi, -4 * math.pi], [-4 * math.pi, 8 * math.pi]])
+    for strengths in (None, rows):
+        values, grads = field.image_gradients(pts, strengths)
+        assert np.array_equal(values, field.image_values(pts, strengths))
+        w = np.atleast_2d(field.strengths if strengths is None else strengths)
+        ref = (w[:, :1, None] * _image_gradient(pts, p, eta)
+               + w[:, 1:, None] * _image_gradient(pts, q, eta))
+        assert np.array_equal(grads, ref if strengths is not None else ref[0])
+    assert np.array_equal(field.eval_gradient(pts),
+                          field.image_gradients(pts)[1])
+
+
+def point_cluster(rng, center, radius, count=64):
+    """Points in the disc of the given radius about center, with two of
+    them on its rim along each axis, so the cluster's box is the disc's."""
+    th = rng.uniform(0.0, TWO_PI, count)
+    r = radius * np.sqrt(rng.random(count))
+    pts = center + np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    rim = center + radius * np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
+    return np.concatenate([pts, rim])
+
+
+def hull_rule(d, eta):
+    """The offsets kept by the bounding box of wrapped displacements d."""
+    from todalab.greens import _IMAGE_OFFSETS, _Z_SKIP
+
+    lo, hi = d.min(axis=0), d.max(axis=0)
+    gap = np.maximum(np.maximum(lo + _IMAGE_OFFSETS, -(hi + _IMAGE_OFFSETS)),
+                     0.0)
+    z_min = (gap ** 2).sum(axis=1) / (2.0 * eta * eta)
+    return _IMAGE_OFFSETS[z_min < _Z_SKIP * (1.0 + 1e-9)]
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_pole_skip_decides_as_live_images(n):
+    from todalab.greens import (_IMAGE_OFFSETS, _Z_SKIP, _live_images,
+                                _live_offsets, SingularField, split_width)
+
+    grid = TorusGrid(n)
+    eta = split_width(grid)
+    r_skip = math.sqrt(2.0 * _Z_SKIP) * eta
+    rng = np.random.default_rng(200 + n)
+    p, q = np.array([0.93, 0.11]), np.array([0.25, 0.25])
+    field = SingularField(grid, [q, p], [1.0, 1.0],
+                          np.zeros(grid.mode_shape, dtype=complex))
+    clusters = [point_cluster(rng, rng.uniform(-0.2, 1.2, 2),
+                              rng.uniform(1e-4, 0.2)) for _ in range(300)]
+    clusters += [rng.uniform(-0.3, 1.3, (50, 2)) for _ in range(20)]
+    # clusters whose box lies just inside, on or just outside the skip
+    # radius of p, and of p's image across the edge, within the margin
+    for scale in (1 - 1e-8, 1 + 2e-10, 1 + 5e-10, 1 + 2e-9, 1 + 1e-8):
+        for sign in (1.0, -1.0):
+            c = p + sign * np.array([scale * r_skip + 1e-4, 0.0])
+            clusters.append(point_cluster(rng, c, 1e-4))
+            clusters.append(point_cluster(rng, c - np.array([1.0, 0.0]),
+                                          1e-4))
+    # around the antipode of p, where every box crosses p's wrap lines,
+    # and along them, where one wrap line crosses the box
+    clusters += [point_cluster(rng, p + 0.5, r) for r in (1e-3, 0.05, 0.2)]
+    for t in np.linspace(-0.5, 0.5, 81):
+        for r in (1e-3, 0.03):
+            clusters.append(point_cluster(rng, p + [0.5, t], r))
+            clusters.append(point_cluster(rng, p + [t, 0.5], r))
+    seen = {(cross, skip): 0 for cross in (False, True) for skip in (0, 1)}
+    for pts in clusters:
+        d, dall = _live_images(pts, p, eta)
+        live = _live_offsets(pts.min(axis=0) - p, pts.max(axis=0) - p, eta)
+        # the skip and _live_images take one decision
+        assert np.array_equal(dall, d[:, None, :] + live[None, :, :])
+        skip = 1 not in field._poles_in_reach(pts)
+        assert skip == (live.size == 0)
+        # a dropped image is out of reach of every point
+        dropped = [o for o in _IMAGE_OFFSETS if not (live == o).all(1).any()]
+        for o in dropped:
+            z = ((d + o) ** 2).sum(axis=1) / (2.0 * eta * eta)
+            assert np.all(z >= _Z_SKIP)
+        # where no wrap line crosses the box, it is the wrapped points'
+        # bounding box that decides, bit for bit
+        raw = pts - p
+        cross = bool(np.any(np.floor(raw.min(axis=0) + 0.5)
+                            != np.floor(raw.max(axis=0) + 0.5)))
+        if not cross:
+            assert np.array_equal(live, hull_rule(d, eta))
+        seen[(cross, int(skip))] += 1
+    assert seen[(False, 0)] > 0 and seen[(True, 0)] > 0
+    if n >= 64:
+        assert seen[(False, 1)] > 0 and seen[(True, 1)] > 0
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("poles", [((0.3, 0.6), (0.8, 0.9)),
+                                   ((0.25, 0.25), (0.75, 0.75))])
+def test_pole_skip_is_bit_identical(n, poles, monkeypatch):
+    from todalab import greens
+
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(300 + n)
+    p, q = (np.array(x) for x in poles)
+    modes = (rng.standard_normal(grid.mode_shape)
+             + 1j * rng.standard_normal(grid.mode_shape)) / (1.0 + grid.k2)
+    field = greens.SingularField(grid, [p, q], [8 * math.pi, -4 * math.pi],
+                                 modes, const=0.3)
+    rows = np.array([[8 * math.pi, -4 * math.pi], [-4 * math.pi, 8 * math.pi]])
+    batches = {
+        # around either pole, where the other one is out of reach
+        "near p": point_cluster(rng, p, 0.03, 500),
+        "near q": point_cluster(rng, q, 0.05, 500),
+        # across the torus edges, near and far from both poles
+        "edge": point_cluster(rng, np.array([0.0, 0.05]), 0.04, 500),
+        "corner": point_cluster(rng, np.array([1.0, 1.0]), 0.02, 500),
+        "spread": rng.random((500, 2)),
+        # more than one image batch
+        "many": point_cluster(rng, q, 0.02, greens._IMAGE_CHUNK + 100),
+    }
+
+    def passes():
+        out = {}
+        for name, pts in batches.items():
+            out[name] = (field.eval(pts), field.eval_gradient(pts),
+                         field.image_values(pts, rows),
+                         *field.image_gradients(pts, rows))
+        return out
+
+    reach = greens.SingularField._poles_in_reach
+    kept = []
+
+    def counting(self, batch):
+        out = reach(self, batch)
+        kept.append(len(out))
+        return out
+
+    monkeypatch.setattr(greens.SingularField, "_poles_in_reach", counting)
+    got = passes()
+    assert 1 in kept and 2 in kept
+    monkeypatch.setattr(greens.SingularField, "_poles_in_reach",
+                        lambda self, batch: [0, 1])
+    ref = passes()
+    for name in batches:
+        for a, b in zip(got[name], ref[name]):
+            assert np.array_equal(a, b), name
