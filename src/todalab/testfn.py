@@ -33,6 +33,7 @@ greens.local_expansion); only lambda and mu are least-squares fits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,12 @@ def coupling_L(eps: float) -> float:
     """Truncation radius L tied to eps by L^4 eps^2 = 1/log(-log eps)."""
     if not 0.0 < eps < math.exp(-1.0):
         raise ConfigError(f"eps must lie in (0, 1/e), got {eps}")
-    return (1.0 / (eps * eps * math.log(-math.log(eps)))) ** 0.25
+    denom = eps * eps * math.log(-math.log(eps))    # 0 once eps^2 underflows
+    L = (1.0 / denom) ** 0.25 if denom > 0.0 else math.inf
+    if not math.isfinite(L * eps):
+        raise ConfigError(f"eps = {eps} too small: L = (eps^2 log(-log eps))"
+                          f"^(-1/4) is not a finite number")
+    return L
 
 
 def smoothstep(rho, a: float, b: float):
@@ -162,6 +168,27 @@ def _check_scale(tf_eps: float, L: float) -> None:
             f"L*eps = {L * tf_eps:.3f} too large; need L*eps < 1/8")
 
 
+def _window_radius(eps: float, L: float | None) -> tuple:
+    """(L, L*eps) for a test pair at scale eps, L = coupling_L(eps) if
+    None; a ConfigError unless both are positive and (L*eps)^2 is finite
+    and at least the smallest normal double (below it the band's
+    |grad G|^2, about 4 / (L*eps)^2, overflows)."""
+    if not eps > 0.0:
+        raise ConfigError(f"eps must be positive, got {eps}")
+    if L is None:
+        L = coupling_L(eps)
+    elif not L > 0.0:
+        raise ConfigError(f"L must be positive, got {L}")
+    le = L * eps
+    if not le * le < math.inf:
+        raise ConfigError(f"window radius L*eps = {le:.3g} too large: its "
+                          f"square overflows")
+    if not le * le >= sys.float_info.min:
+        raise ConfigError(f"window radius L*eps = {le:.3g} too small: its "
+                          f"square underflows")
+    return L, le
+
+
 def build_test_pair(pair: GreenPair, eps: float,
                     L: float | None = None) -> TestFunctionPair:
     """Test pair at scale eps with truncation L (coupling_L(eps) if None).
@@ -172,22 +199,16 @@ def build_test_pair(pair: GreenPair, eps: float,
     (no additive constant).  Each point's chart scale exp(phi(p)/2) is
     the one its expansions were taken in.
     """
-    if not eps > 0.0:
-        raise ConfigError(f"eps must be positive, got {eps}")
-    if L is None:
-        L = coupling_L(eps)
-    elif not L > 0.0:
-        raise ConfigError(f"L must be positive, got {L}")
+    L, le = _window_radius(eps, L)
     if pair.case_tag == "one":
         sep = float(np.linalg.norm(spectral.wrap_offset(
             np.asarray(pair.points[1])[None, :] - np.asarray(pair.points[0]))))
-        if L * eps >= sep / 4.0:
+        if le >= sep / 4.0:
             raise GeometryError(
-                f"window radius L*eps = {L * eps:.4f} overlaps the other "
+                f"window radius L*eps = {le:.4f} overlaps the other "
                 f"point (separation {sep:.4f}); need L*eps < separation/4")
     _check_scale(eps, L)
     _require_expansions(pair)
-    le = L * eps
     l1p = math.log1p(math.pi * L * L)
     A = {key: e.A for key, e in pair.expansions.items()}
     if pair.case_tag == "one":
@@ -242,12 +263,15 @@ def _panel_nodes(edges: np.ndarray, order: int):
 
 class _StackEval:
     """Batched exact evaluation of a pair's two Green's fields (+metric
-    exponent) at scattered points: one off-grid pass for all mode arrays,
-    whose oversampled grid is built once per evaluator (the stack is
-    read-only), and one image pass per pole for both fields' values and
-    gradients (a GreenPair's fields share their poles).  A call without
-    gradients evaluates only the value rows, a read-only view of every
-    third row of the stack, and the image values.
+    exponent) on the polar nodes around one of its points: one off-grid
+    pass for all mode arrays, whose oversampled grid is built once per
+    evaluator (the stack is read-only), and one image pass per pole for
+    both fields' values and gradients (a GreenPair's fields share their
+    poles).  The centre pole's nearest image comes in polar form, once
+    per radius (SingularField.image_values), so no field value carries
+    the ulp(p) / r error of a wrapped difference of points.  A call
+    without gradients evaluates only the value rows, a read-only view of
+    every third row of the stack, and the image values.
 
     It depends on the pair alone, so one evaluator serves every coupling
     of a fit (phi0_along); it is not kept on the pair, whose retained
@@ -291,25 +315,37 @@ class _StackEval:
                 pair.exp_G2_values * pair.metric.weight)
         return self._exp_g2_integrals[k]
 
-    def __call__(self, pts: np.ndarray, gradients: bool = True) -> dict:
+    def polar(self, i: int, r_nodes: np.ndarray, nth: int,
+              gradients: bool = True) -> dict:
+        """Fields on the circles of radii r_nodes around point i, at nth
+        midpoint angles each: "G1", "G2", "weight" (and "dG1", "dG2")
+        shaped (radii, angles[, 2]), plus the angles' cosines "ct" and
+        sines "st"."""
+        p = self.pair.points[i]
+        th = (np.arange(nth) + 0.5) * (2.0 * math.pi / nth)
+        ct, st = np.cos(th), np.sin(th)
+        pts = np.empty((r_nodes.size * nth, 2))
+        pts[:, 0] = (p[0] + np.outer(r_nodes, ct)).ravel()
+        pts[:, 1] = (p[1] + np.outer(r_nodes, st)).ravel()
         rows = 3 if gradients else 1        # stack rows per field
         res = spectral.eval_modes_stack_at(
             self.grid, self.stack if gradients else self.value_rows, pts)
         g1 = self.fields[0]
+        polar = (i, r_nodes, ct, st)
         if gradients:
-            images, image_grads = g1.image_gradients(pts, self.strengths)
+            images, image_grads = g1.image_gradients(pts, self.strengths,
+                                                     polar)
         else:
-            images = g1.image_values(pts, self.strengths)
-        out = {}
+            images = g1.image_values(pts, self.strengths, polar)
+        sh = (r_nodes.size, nth)
+        out = {"ct": ct, "st": st}
         for j, (k, g) in enumerate(zip((1, 2), self.fields)):
-            out[f"G{k}"] = res[rows * j] + g.const + images[j]
+            out[f"G{k}"] = (res[rows * j] + g.const + images[j]).reshape(sh)
             if gradients:
                 grad = np.stack([res[3 * j + 1], res[3 * j + 2]], axis=1)
-                out[f"dG{k}"] = grad + image_grads[j]
-        if self.curved:
-            out["weight"] = np.exp(res[-1])
-        else:
-            out["weight"] = np.ones(pts.shape[0])
+                out[f"dG{k}"] = (grad + image_grads[j]).reshape(sh + (2,))
+        out["weight"] = (np.exp(res[-1]).reshape(sh) if self.curved
+                         else np.ones(sh))
         return out
 
 
@@ -378,25 +414,6 @@ class _Phi0Evaluator:
             raise ConfigError("scales too large to separate the regions")
         return delta
 
-    # -- polar quadrature ---------------------------------------------------
-
-    def _polar(self, i: int, r_nodes: np.ndarray, nth: int,
-               gradients: bool = True) -> dict:
-        """Fields on the circles of radii r_nodes around point i, at nth
-        midpoint angles each: arrays shaped (radii, angles[, 2]), plus the
-        angles' cosines "ct" and sines "st"."""
-        p = self.pair.points[i]
-        th = (np.arange(nth) + 0.5) * (2.0 * math.pi / nth)
-        ct, st = np.cos(th), np.sin(th)
-        pts = np.empty((r_nodes.size * nth, 2))
-        pts[:, 0] = (p[0] + np.outer(r_nodes, ct)).ravel()
-        pts[:, 1] = (p[1] + np.outer(r_nodes, st)).ravel()
-        data = self.ev(pts, gradients)
-        sh = (r_nodes.size, nth)
-        out = {k: v.reshape(sh + v.shape[1:]) for k, v in data.items()}
-        out["ct"], out["st"] = ct, st
-        return out
-
     def _refined(self, levels, what: str) -> dict:
         """The first of a sequence of ever finer blocks that agrees with
         the one before to tol (relative to max(1, largest entry))."""
@@ -448,8 +465,8 @@ class _Phi0Evaluator:
         in_band = rho > le
         # the disc radii come first; gradients enter on the band only
         nd = int(np.count_nonzero(~in_band))
-        disc = self._polar(i, r_nodes[:nd], _THETA, gradients=False)
-        data = self._polar(i, r_nodes[nd:], _THETA)
+        disc = self.ev.polar(i, r_nodes[:nd], _THETA, gradients=False)
+        data = self.ev.polar(i, r_nodes[nd:], _THETA)
         logrho = np.log(rho)
         w_area = ((r_nodes * r_w)[:, None] * th_w
                   * np.concatenate([disc["weight"], data["weight"]]))
@@ -525,7 +542,7 @@ class _Phi0Evaluator:
     def _flux_block(self, i: int) -> dict:
         r_st = self.r_st[i]
         nth = 256
-        data = self._polar(i, np.array([r_st]), nth)
+        data = self.ev.polar(i, np.array([r_st]), nth)
         ct, st = data["ct"], data["st"]
         out = {}
         for k, m in ((1, 1), (2, 2), (1, 2), (2, 1)):
@@ -555,7 +572,7 @@ class _Phi0Evaluator:
         def levels():
             for order in (16, 24):
                 r_nodes, r_w = _panel_nodes(edges, order)
-                data = self._polar(i, r_nodes, nth, gradients=False)
+                data = self.ev.polar(i, r_nodes, nth, gradients=False)
                 chi = smoothstep(r_nodes, a_chi, self.delta_cut)  # 1 -> 0
                 yield {"ring": float(np.sum(
                     chi[:, None] * np.exp(data[f"G{k}"]
@@ -734,7 +751,7 @@ class _Phi0Evaluator:
             edges.append(edges[-1] / 2.0)
         r_nodes, r_w = _panel_nodes(np.asarray(edges[::-1]), 10)
         nth = 32
-        wgt = self._polar(i, r_nodes, nth, gradients=False)["weight"]
+        wgt = self.ev.polar(i, r_nodes, nth, gradients=False)["weight"]
         rho = self.scales[i] * r_nodes
         a = self.pair.expansions[(k, i)].a
         branch = (tf.disc_profile(k, i, rho) + tf.disc_const[(k, i)]
@@ -763,15 +780,13 @@ def phi0_breakdown(tf: TestFunctionPair, stitch: float = 2.0) -> dict:
 def phi0_along(pair: GreenPair, eps_list, L: float | None) -> list:
     """Rows {"eps", "L", "phi0"}: evaluate_phi0 on the test pair at each
     eps, with truncation L (coupling_L(eps) if None, as in
-    build_test_pair).  Every row shares one field evaluator, whose
-    oversampled grids serve them all."""
+    build_test_pair).  Every test pair is built before the first
+    evaluation, so a bad eps fails at once.  Every row shares one field
+    evaluator, whose oversampled grids serve them all."""
+    tfs = [build_test_pair(pair, eps, L) for eps in eps_list]
     stack = _StackEval(pair)
-    rows = []
-    for eps in eps_list:
-        tf = build_test_pair(pair, eps, L)
-        rows.append({"eps": eps, "L": tf.L,
-                     "phi0": evaluate_phi0(tf, stack=stack)})
-    return rows
+    return [{"eps": tf.eps, "L": tf.L, "phi0": evaluate_phi0(tf, stack=stack)}
+            for tf in tfs]
 
 
 # ---------------------------------------------------------------------------

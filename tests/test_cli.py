@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from todalab.cli import _DEFAULTS, RunConfig, main, parse_config
 from todalab.errors import ConfigError
 from todalab.spectral import load_field_values
-from todalab.testfn import DEFAULT_EPS_LIST
+from todalab.testfn import DEFAULT_EPS_LIST, _window_radius
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -103,6 +103,21 @@ def test_bad_values_exit_64_with_one_line(tmp_path, capsys, text):
     assert not (tmp_path / "solve.json").exists()
 
 
+@pytest.mark.parametrize("tail", ["1e-300", "5e-324", "1e-160"])
+@pytest.mark.parametrize("coupling", ["auto", "fixed:2.0"])
+def test_tiny_eps_exits_64_with_one_line(tmp_path, capsys, tail, coupling):
+    # eps^2 underflows, L overflows or the window radius squared
+    # underflows: a configuration error before any row is evaluated
+    path = write_config(tmp_path, "grid.n = 32\npoints = 0.25,0.25;0.75,0.75\n"
+                        f"testfn.L_coupling = {coupling}\n"
+                        f"testfn.eps_list = 1e-2,1e-3,1e-4,{tail}\n")
+    assert main(["testfn", "--config", path, "--out", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "too small" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "testfn.json").exists()
+
+
 _NUMBER = st.one_of(st.integers().map(str), st.floats().map(repr))
 _NUMBER_LIST = st.lists(_NUMBER, min_size=1, max_size=4).map(",".join)
 # values shaped like each key's own, so that some examples get past parsing
@@ -143,6 +158,14 @@ def test_config_text_parses_or_fails_cleanly(entries):
     assert cfg.solver.ceiling > 0.0
     assert cfg.L_fixed is None or cfg.L_fixed > 0.0
     assert all(e > 0.0 for e in cfg.testfn_eps)
+    # every parsed eps gives a finite, nonzero window radius, or the test
+    # pair rejects it with a ConfigError (exit 64)
+    for eps in cfg.testfn_eps:
+        try:
+            _, le = _window_radius(eps, cfg.L_fixed)
+        except ConfigError:
+            continue
+        assert math.isfinite(le) and le * le > 0.0
     if cfg.metric_kind.startswith("file="):
         assert os.path.isfile(cfg.metric_kind[len("file="):])
 

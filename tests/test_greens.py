@@ -454,6 +454,109 @@ def test_fused_image_pass_matches_nine_images(n):
                           field.image_gradients(pts)[1])
 
 
+def polar_nodes(p, r, nth):
+    """Pole p's polar nodes p + r_a (cos_b, sin_b), radii first, at nth
+    midpoint angles, and the angles' cosines and sines."""
+    th = (np.arange(nth) + 0.5) * (TWO_PI / nth)
+    ct, st = np.cos(th), np.sin(th)
+    pts = np.stack([(p[0] + np.outer(r, ct)).ravel(),
+                    (p[1] + np.outer(r, st)).ravel()], axis=1)
+    return pts, (ct, st)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_polar_near_image_matches_mpmath(n):
+    # the nearest image from the radius alone: no ulp(p) / r cancellation,
+    # and z = r^2 / 2 eta^2 carried as a double-double, so E1 and e^{-z},
+    # which multiply z's error by z (42 at r = 0.2, n = 128), stay exact
+    from todalab.greens import SingularField, _near_image, split_width
+
+    grid = TorusGrid(n)
+    eta = split_width(grid)
+    r = np.geomspace(1e-8, 0.2, 120)
+    mp_eta = mpmath.mpf(eta)
+    ref_v, ref_d = [], []
+    with mpmath.workdps(40):
+        for x in r:
+            z = mpmath.mpf(x) ** 2 / (2 * mp_eta ** 2)
+            ref_v.append(mpmath.e1(z) / (4 * mpmath.pi))
+            ref_d.append(-mpmath.exp(-z) / (2 * mpmath.pi * mpmath.mpf(x)))
+    value, radial = _near_image(r, eta)
+    assert np.all(np.abs(value - np.array(ref_v, dtype=float))
+                  <= 1e-15 * np.array(ref_v, dtype=float))
+    assert np.all(np.abs(radial - np.array(ref_d, dtype=float))
+                  <= 1e-15 * np.abs(np.array(ref_d, dtype=float)))
+
+    # and so do a one-pole field's polar values and gradients; the pole's
+    # far images, at distance 0.8 or more, are below 1e-19 here
+    p = np.array([0.93, 0.11])
+    field = SingularField(grid, [p], [-4 * math.pi],
+                          np.zeros(grid.mode_shape, dtype=complex))
+    pts, (ct, st) = polar_nodes(p, r, 12)
+    values, grads = field.image_gradients(pts, polar=(0, r, ct, st))
+    s = -4 * math.pi
+    for a, x in enumerate(r):
+        v_ref = s * ref_v[a]
+        got_v = values[a * 12:(a + 1) * 12]
+        assert np.all(np.abs(got_v - float(v_ref))
+                      <= 1e-15 * abs(float(v_ref)))
+        g_ref = np.array([[float(s * ref_d[a] * mpmath.mpf(c)),
+                           float(s * ref_d[a] * mpmath.mpf(t))]
+                          for c, t in zip(ct, st)])
+        err = np.linalg.norm(grads[a * 12:(a + 1) * 12] - g_ref, axis=1)
+        assert np.all(err <= 1e-15 * abs(float(s * ref_d[a])))
+
+
+@pytest.mark.parametrize("n, poles", [
+    (32, ((0.93, 0.11), (0.4, 0.6))),       # far images in reach
+    (128, ((0.3, 0.6), (0.43, 0.6))),       # the other pole in reach
+    (128, ((0.01, 0.99), (0.5, 0.4))),      # a pole at the torus edge
+], ids=["n32", "close-poles", "edge"])
+def test_polar_images_match_nine_images(n, poles):
+    from todalab.greens import SingularField, _exp1, split_width
+
+    grid = TorusGrid(n)
+    eta = split_width(grid)
+    poles = [np.array(p) for p in poles]
+    rows = np.array([[8 * math.pi, -4 * math.pi], [-4 * math.pi, 8 * math.pi]])
+    field = SingularField(grid, poles, rows[0],
+                          np.zeros(grid.mode_shape, dtype=complex))
+    # r >= 1e-2: closer in, the oracle's own error, about 1e-16 / r in
+    # the wrapped displacement, dominates
+    r = np.geomspace(1e-2, 0.45, 40)
+    nth = 24
+    for i in (0, 1):
+        pts, (ct, st) = polar_nodes(poles[i], r, nth)
+        polar = (i, r, ct, st)
+        values, grads = field.image_gradients(pts, rows, polar)
+        assert np.array_equal(values, field.image_values(pts, rows, polar))
+        # the geometry exercises what its name says: pole i's far images,
+        # or the other pole from the outer circles, within reach
+        if n == 32:
+            assert i in field._poles_in_reach(pts, i)
+        if np.hypot(*((poles[0] - poles[1] + 0.5) % 1.0 - 0.5)) < 0.2:
+            assert 1 - i in field._poles_in_reach(pts[-nth * 10:], i)
+
+        ref_v = ref_g = scale_v = scale_g = 0.0
+        for j, p in enumerate(poles):
+            dall, r2, z = nine_image_terms(pts, p, eta)
+            v = _exp1(z) / (4 * math.pi)
+            g = (-np.exp(-z) / (2 * math.pi * r2))[:, :, None] * dall
+            w = rows[:, j:j + 1]
+            ref_v = ref_v + w * v.sum(axis=1)
+            ref_g = ref_g + w[:, :, None] * g.sum(axis=1)
+            scale_v = scale_v + np.abs(w) * v.sum(axis=1)
+            scale_g = scale_g + np.abs(w) * np.abs(g).sum(axis=(1, 2))
+        # the oracle's displacement from pole i is off by up to 5e-16,
+        # which moves V by 5e-16 / 2 pi r and grad V by 5e-16 / pi r^2
+        rr = np.repeat(r, nth)
+        s_i = np.abs(rows[:, i:i + 1])
+        tol_v = 1e-15 * scale_v + s_i * 5e-16 / (TWO_PI * rr)
+        tol_g = 1e-15 * scale_g + s_i * 5e-16 / (math.pi * rr ** 2)
+        assert np.all(np.abs(values - ref_v) <= tol_v)
+        assert np.all(np.linalg.norm(grads - ref_g, axis=2) <= tol_g)
+
+
 def point_cluster(rng, center, radius, count=64):
     """Points in the disc of the given radius about center, with two of
     them on its rim along each axis, so the cluster's box is the disc's."""
@@ -557,28 +660,39 @@ def test_pole_skip_is_bit_identical(n, poles, monkeypatch):
         "many": point_cluster(rng, q, 0.02, greens._IMAGE_CHUNK + 100),
     }
 
+    # polar nodes around either pole, out to where the other is in reach
+    r = np.geomspace(1e-6, 0.45, 120)
+    polars = {}
+    for i, c in enumerate((p, q)):
+        pts, (ct, st) = polar_nodes(c, r, 96)       # two image batches
+        polars[f"polar {i}"] = (pts, (i, r, ct, st))
+
     def passes():
         out = {}
         for name, pts in batches.items():
             out[name] = (field.eval(pts), field.eval_gradient(pts),
                          field.image_values(pts, rows),
                          *field.image_gradients(pts, rows))
+        for name, (pts, polar) in polars.items():
+            out[name] = (field.image_values(pts, rows, polar),
+                         *field.image_gradients(pts, rows, polar),
+                         field.image_values(pts, None, polar))
         return out
 
     reach = greens.SingularField._poles_in_reach
     kept = []
 
-    def counting(self, batch):
-        out = reach(self, batch)
+    def counting(self, batch, own=None):
+        out = reach(self, batch, own)
         kept.append(len(out))
         return out
 
     monkeypatch.setattr(greens.SingularField, "_poles_in_reach", counting)
     got = passes()
-    assert 1 in kept and 2 in kept
+    assert 0 in kept and 1 in kept and 2 in kept
     monkeypatch.setattr(greens.SingularField, "_poles_in_reach",
-                        lambda self, batch: [0, 1])
+                        lambda self, batch, own=None: [0, 1])
     ref = passes()
-    for name in batches:
+    for name in got:
         for a, b in zip(got[name], ref[name]):
             assert np.array_equal(a, b), name

@@ -56,6 +56,21 @@ def test_coupling_identity():
         coupling_L(0.5)
 
 
+@pytest.mark.parametrize("eps", [1e-160, 1e-300, 5e-324])
+def test_tiny_eps_rejected(pair1_128, eps):
+    # eps^2 underflows (to 0 or to a subnormal) and L overflows: a
+    # ConfigError, not a ZeroDivisionError or an infinite window
+    with pytest.raises(ConfigError, match="too small"):
+        coupling_L(eps)
+    with pytest.raises(ConfigError, match="too small"):
+        build_test_pair(pair1_128, eps)
+    # a fixed L whose window radius squared underflows
+    with pytest.raises(ConfigError, match="underflows"):
+        build_test_pair(pair1_128, eps, 2.0)
+    # the smallest eps of the fits' tail still gives a finite L
+    assert math.isfinite(coupling_L(1e-8) * 1e-8)
+
+
 def test_smoothstep_endpoints():
     assert smoothstep(np.array([0.09, 0.1]), 0.1, 0.2).tolist() == [1.0, 1.0]
     assert smoothstep(np.array([0.2, 0.5]), 0.1, 0.2).tolist() == [0.0, 0.0]
@@ -123,6 +138,17 @@ def test_value_independent_of_stitch_radius(pair1_128):
     v2 = evaluate_phi0(tf, stitch=2.0)
     v3 = evaluate_phi0(tf, stitch=3.0)
     assert abs(v2 - v3) < 1e-3 * abs(v2)
+
+
+def test_gap_independent_of_stitch_radius_at_small_eps(pair1_128):
+    # at eps = 1e-6 a gap of 1 in (phi0 - C) / eps^2 is 1e-12 in phi0;
+    # the two stitch radii put the polar nodes at different radii, so a
+    # field error that grows as the nodes near the pole shows here (the
+    # per-point image sums, with their ulp(p) / r error, gave 2.27)
+    eps = 1e-6
+    tf = build_test_pair(pair1_128, eps)
+    gap = evaluate_phi0(tf, stitch=2.0) - evaluate_phi0(tf, stitch=3.0)
+    assert abs(gap) / (eps * eps) < 0.5
 
 
 def test_value_swap_symmetric(pair1_128):
@@ -258,19 +284,19 @@ def test_fit_case2_rejects_an_unconverged_pair():
 
 
 def test_stack_eval_memory_peak():
-    # one full-gradient call at 13824 points on the n=64 one-pole pair:
-    # image sums run in 8192-point batches of live images only and the
-    # off-grid contraction frees each 256-point gather before the next;
-    # both at once peaked at 9.3 MB here
+    # one full-gradient polar call at 13824 nodes (144 radii out to 0.45,
+    # 96 angles) on the n=64 one-pole pair: image sums run in 8192-point
+    # batches of live images only and the off-grid contraction frees each
+    # 256-point gather before the next; both at once peaked at 9.3 MB here
     pair = green_pair_case2(np.array([0.5, 0.5]), make_flat_torus(64))
     extract_expansions(pair)
     ev = _StackEval(pair)
-    pts = np.random.default_rng(0).random((13824, 2))
+    r_nodes = np.geomspace(1e-6, 0.45, 144)
     tracemalloc.start()
     try:
-        out = ev(pts)
+        out = ev.polar(0, r_nodes, 96)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out["dG2"].shape == (13824, 2)
+    assert out["dG2"].shape == (144, 96, 2)
     assert peak < 6.0e6
