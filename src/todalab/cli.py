@@ -408,8 +408,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
     classes = [r.classification for r in records]
     print(f"sweep: {len(records)} runs, classifications: "
           f"{', '.join(classes)}; report: {path}")
-    bad = any(r.error for r in records)
-    return EXIT_NUMERICAL if bad else EXIT_OK
+    # a run that raised has no report; its stop reason reads "error"
+    bad = [f"eps {r.eps:g} ({r.report.stop_reason if r.report else 'error'})"
+           for r in records if r.report is None or not r.report.converged]
+    if bad:
+        print(f"numerical failure: sweep did not converge at "
+              f"{', '.join(bad)}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 # --- entry point ------------------------------------------------------

@@ -141,18 +141,7 @@ _IMAGE_CHUNK = 8192
 # below 1e-19 and exp(-z) / r^2 below 1e-17 / r^2.
 _Z_SKIP = 40.0
 _FAR_OFFSETS = _IMAGE_OFFSETS[np.any(_IMAGE_OFFSETS != 0.0, axis=1)]
-
-
-def _live_images(points: np.ndarray, p, eta: float,
-                 offsets: np.ndarray = _IMAGE_OFFSETS) -> tuple:
-    """Wrapped displacements d from p to the points, (m, 2), and d + o,
-    (m, k, 2), for the images o among `offsets` that can reach
-    r^2 / 2 eta^2 < _Z_SKIP for some point (see _live_offsets)."""
-    raw = np.atleast_2d(points) - np.asarray(p)
-    d = spectral.wrap_offset(raw)
-    live = offsets if raw.shape[0] == 0 else _live_offsets(
-        *_box(raw), eta, offsets)
-    return d, d[:, None, :] + live[None, :, :]
+_NEAR_OFFSET = np.zeros((1, 2))      # the nearest image alone
 
 
 def _box(a: np.ndarray) -> tuple:
@@ -175,10 +164,10 @@ def _live_offsets(lo: np.ndarray, hi: np.ndarray, eta: float,
     [-1/2, hi wrapped], and across more anywhere in [-1/2, 1/2].  An
     image is dropped when, along the axes, the nearest of these
     intervals keeps it at or beyond the skip radius with a relative
-    margin of 1e-9, so only images whose every term _screened would set
-    to an exact zero (or exp(-E1) to an exact 1) are left out.  Deciding
-    from the box alone lets a caller skip a pole before wrapping any
-    point."""
+    margin of 1e-9, so only images whose every term _image_pass sets to
+    an exact zero (and singular_exp_values to an exact 1) are left out.
+    Deciding from the box alone lets a caller skip a pole before
+    wrapping any point."""
     w_lo, w_hi = spectral.wrap_offset(lo), spectral.wrap_offset(hi)
     cuts = np.floor(hi + 0.5) - np.floor(lo + 0.5)   # wrap lines crossed
 
@@ -194,56 +183,38 @@ def _live_offsets(lo: np.ndarray, hi: np.ndarray, eta: float,
     return offsets[z_min < _Z_SKIP * (1.0 + 1e-9)]
 
 
-def _screened(z: np.ndarray, fn) -> np.ndarray:
-    """fn(z) where z < _Z_SKIP, zero elsewhere."""
-    out = np.zeros_like(z)
-    near = z < _Z_SKIP
-    out[near] = fn(z[near])
-    return out
-
-
-def _image_terms(points: np.ndarray, p, eta: float,
-                 offsets: np.ndarray = _IMAGE_OFFSETS) -> tuple:
-    """Displacements d + o to the live images of p among `offsets`,
-    (m, k, 2), their squared lengths r^2 and z = r^2 / 2 eta^2, both
-    (m, k)."""
-    dall = _live_images(points, p, eta, offsets)[1]
+def _displacements(points: np.ndarray, p, eta: float,
+                   offsets: np.ndarray) -> tuple:
+    """d + o for the wrapped displacements d from p to the points and
+    each of the offsets o, (m, k, 2), their squared lengths r^2 and
+    z = r^2 / 2 eta^2, both (m, k)."""
+    d = spectral.wrap_offset(np.atleast_2d(points) - np.asarray(p))
+    dall = d[:, None, :] + offsets[None, :, :]
     r2 = (dall ** 2).sum(axis=2)
     return dall, r2, r2 / (2.0 * eta * eta)
 
 
-def _sum_of(z: np.ndarray) -> np.ndarray:
-    """sum over the images of (1/4 pi) E1(z); +inf at the source."""
+def _image_pass(points: np.ndarray, p, eta: float, live: np.ndarray,
+                gradients: bool) -> list:
+    """The sum over the offsets o in `live` of p's images' (1/4 pi) E1(z),
+    (m,) and +inf at the source, in a list; with gradients the list also
+    holds the sum of their gradients, -e^{-z} (d + o) / (2 pi r^2),
+    (m, 2).  Culls nothing: which offsets are live is the caller's
+    decision (_live_offsets), and a term with z >= _Z_SKIP is an exact
+    zero."""
+    dall, r2, z = _displacements(points, p, eta, live)
+    near = z < _Z_SKIP
+    e1 = np.zeros_like(z)
     with np.errstate(divide="ignore"):
-        vals = _screened(z, _exp1)
-    return vals.sum(axis=1) / (4.0 * math.pi)
-
-
-def _gradient_of(dall: np.ndarray, r2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum over the images of the gradient of (1/4 pi) E1(z), (m, 2)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = -_screened(z, lambda zn: np.exp(-zn)) / (2.0 * math.pi * r2)
-    return (w[:, :, None] * dall).sum(axis=1)
-
-
-def _image_sum(points: np.ndarray, p, eta: float,
-               offsets: np.ndarray = _IMAGE_OFFSETS) -> np.ndarray:
-    """sum over 3x3 images of (1/4 pi) E1(r^2 / 2 eta^2); +inf at the source.
-    With offsets, over those images only."""
-    return _sum_of(_image_terms(points, p, eta, offsets)[2])
-
-
-def _image_gradient(points: np.ndarray, p, eta: float,
-                    offsets: np.ndarray = _IMAGE_OFFSETS) -> np.ndarray:
-    """Analytic gradient of the image sum; shape (m, 2)."""
-    return _gradient_of(*_image_terms(points, p, eta, offsets))
-
-
-def _image_pass(points: np.ndarray, p, eta: float,
-                offsets: np.ndarray = _IMAGE_OFFSETS) -> tuple:
-    """The image sum and its gradient from one set of image terms."""
-    dall, r2, z = _image_terms(points, p, eta, offsets)
-    return _sum_of(z), _gradient_of(dall, r2, z)
+        e1[near] = _exp1(z[near])
+    out = [e1.sum(axis=1) / (4.0 * math.pi)]
+    if gradients:
+        ez = np.zeros_like(z)
+        ez[near] = np.exp(-z[near])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = -ez / (2.0 * math.pi * r2)
+        out.append((w[:, :, None] * dall).sum(axis=1))
+    return out
 
 
 def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -280,16 +251,6 @@ def _near_image(r: np.ndarray, eta: float) -> tuple:
     ez = np.exp(-z)
     value = (_exp1(z) - dz * ez / z) / (4.0 * math.pi)
     return value, -ez * (1.0 - dz) / (2.0 * math.pi * r)
-
-
-def _image_sum_regular(points: np.ndarray, p, eta: float) -> np.ndarray:
-    """Image sum plus (1/2 pi) log r of the nearest image (finite at p)."""
-    d, far = _live_images(points, p, eta, _FAR_OFFSETS)
-    r2 = (d ** 2).sum(axis=1)
-    z_near = r2 / (2.0 * eta * eta)
-    out = (_e1_plus_log(z_near) + math.log(2.0 * eta * eta)) / (4.0 * math.pi)
-    far = (far ** 2).sum(axis=2)
-    return out + _sum_of(far / (2.0 * eta * eta))
 
 
 def _phase(grid: TorusGrid, p) -> np.ndarray:
@@ -344,19 +305,19 @@ class SingularField:
     def eval_regular(self, pts: np.ndarray, idx: int) -> np.ndarray:
         """Values minus a_idx log r_idx (finite at p_idx, singular at others)."""
         pts = np.atleast_2d(pts)
-        out = spectral.eval_at(self.band, pts) + self.const
-        for j, (p, s) in enumerate(zip(self.points, self.strengths)):
-            if j == idx:
-                out = out + s * _image_sum_regular(pts, p, self.eta)
-            else:
-                out = out + s * _image_sum(pts, p, self.eta)
-        return out
+        # pole idx's nearest image plus (1/2 pi) log r: E1(z) + log z is
+        # entire, and log z = 2 log r - log 2 eta^2
+        z = _displacements(pts, self.points[idx], self.eta, _NEAR_OFFSET)[2]
+        near = ((_e1_plus_log(z[:, 0]) + math.log(2.0 * self.eta * self.eta))
+                / (4.0 * math.pi))
+        return (spectral.eval_at(self.band, pts) + self.const
+                + self._combine(pts, None, (idx, [near]))[0])
 
     def eval_gradient(self, pts: np.ndarray) -> np.ndarray:
         """Analytic/spectral gradient at arbitrary points; (m, 2)."""
         pts = np.atleast_2d(pts)
         return (spectral.eval_gradient_at(self.band, pts)
-                + self._combine(pts, None, values=False, gradients=True)[0])
+                + self.image_gradients(pts)[1])
 
     def image_values(self, pts: np.ndarray, strengths=None,
                      polar=None) -> np.ndarray:
@@ -371,69 +332,72 @@ class SingularField:
         then taken once per radius in polar form (_near_image), exact at
         any radius, and only its eight far images go through the batches.
         """
-        return self._combine(pts, strengths, polar)[0]
+        return self._combine(pts, strengths,
+                             self._polar_near(polar, False))[0]
 
     def image_gradients(self, pts: np.ndarray, strengths=None,
                         polar=None) -> tuple:
         """The image-sum part and its gradient from one pass over each
         pole's images: ((m,), (m, 2)), or ((F, m), (F, m, 2)) with
         strengths and polar as in image_values."""
-        return self._combine(pts, strengths, polar, gradients=True)
+        return self._combine(pts, strengths, self._polar_near(polar, True),
+                             gradients=True)
 
-    def _combine(self, pts: np.ndarray, strengths, polar=None,
-                 values: bool = True, gradients: bool = False) -> tuple:
-        """sum_i rows[:, i] * (V(x - p_i), grad V(x - p_i)), the parts
-        asked for, in batches of points.  A pole whose images all lie out
-        of a batch's reach is skipped there: its terms would all be 0.
-        With polar (see image_values) each batch starts from pole i's
-        nearest image in polar form, and the batch kernel takes pole i's
-        far images only."""
+    def _polar_near(self, polar, gradients: bool):
+        """(i, [values (m,)] or [values, gradients (m, 2)]) of pole i's
+        nearest image at its polar nodes (see image_values); None without
+        polar."""
+        if polar is None:
+            return None
+        own, r, ct, st = polar
+        value, radial = _near_image(r, self.eta)
+        terms = [np.repeat(value, ct.size)]
+        if gradients:
+            unit = np.tile(np.stack([ct, st], axis=1), (r.size, 1))
+            terms.append(np.repeat(radial, ct.size)[:, None] * unit)
+        return own, terms
+
+    def _combine(self, pts: np.ndarray, strengths, near=None,
+                 gradients: bool = False) -> tuple:
+        """sum_i rows[:, i] * V(x - p_i), and with gradients the sum of
+        rows[:, i] * grad V(x - p_i), in batches of points.
+
+        near = (own, terms) gives pole own's nearest image at every point
+        (values, and gradients with gradients); each batch starts from it
+        and takes only pole own's far images.  Per batch, the box of the
+        points decides once which images of each pole are in reach
+        (_live_offsets), and a pole with none is skipped: its terms would
+        all be 0."""
         pts = np.atleast_2d(pts)
         rows = np.atleast_2d(self.strengths if strengths is None else strengths)
-        kernel = (_image_pass if values and gradients
-                  else _image_sum if values else _image_gradient)
-        own = None
-        if polar is not None:
-            own, r, ct, st = polar
-            near, radial = _near_image(r, self.eta)
-            s_own = rows[:, own]
-        parts = []
-        for lo in range(0, max(pts.shape[0], 1), _IMAGE_CHUNK):
+        own = None if near is None else near[0]
+
+        def scaled(j, terms):
+            return [rows[:, j].reshape((-1,) + (1,) * t.ndim) * t
+                    for t in terms]
+
+        def zeros(m):
+            shape = rows.shape[:1] + (m,)
+            return [np.zeros(shape)] + [np.zeros(shape + (2,))] * gradients
+
+        parts = [zeros(0)]      # what no points give
+        for lo in range(0, pts.shape[0], _IMAGE_CHUNK):
             batch = pts[lo:lo + _IMAGE_CHUNK]
-            shape = rows.shape[:1] + batch.shape[:1]
-            if polar is None:
-                acc = ([np.zeros(shape)] * values
-                       + [np.zeros(shape + (2,))] * gradients)
-            else:
-                k_r, k_th = np.divmod(np.arange(lo, lo + batch.shape[0]),
-                                      ct.size)
-                acc = [s_own[:, None] * near[k_r]] * values
-                if gradients:
-                    unit = np.stack([ct[k_th], st[k_th]], axis=1)
-                    acc.append(s_own[:, None, None]
-                               * (radial[k_r, None] * unit)[None])
-            for j in self._poles_in_reach(batch, own):
-                terms = kernel(batch, self.points[j], self.eta,
-                               _FAR_OFFSETS if j == own else _IMAGE_OFFSETS)
-                if not isinstance(terms, tuple):    # one array per point
-                    terms = (terms,)
-                acc = [a + rows[:, j].reshape((-1,) + (1,) * t.ndim) * t
-                       for a, t in zip(acc, terms)]
+            acc = (zeros(batch.shape[0]) if near is None else
+                   scaled(own, [t[lo:lo + _IMAGE_CHUNK] for t in near[1]]))
+            # the batch's box decides, once per pole, which images are in
+            # reach; a pole with none is skipped
+            b_lo, b_hi = _box(batch)
+            for j, p in enumerate(self.points):
+                live = _live_offsets(b_lo - p, b_hi - p, self.eta,
+                                     _FAR_OFFSETS if j == own
+                                     else _IMAGE_OFFSETS)
+                if live.size:
+                    terms = _image_pass(batch, p, self.eta, live, gradients)
+                    acc = [a + t for a, t in zip(acc, scaled(j, terms))]
             parts.append(acc)
         out = tuple(np.concatenate(part, axis=1) for part in zip(*parts))
         return tuple(o[0] for o in out) if strengths is None else out
-
-    def _poles_in_reach(self, batch: np.ndarray, own=None) -> list:
-        """Indices of the poles with an image in reach of the batch
-        (_live_offsets on the batch's box, as _live_images decides),
-        counting only the far images of pole `own`."""
-        if batch.shape[0] == 0:
-            return []
-        lo, hi = _box(batch)
-        return [j for j, p in enumerate(self.points)
-                if _live_offsets(lo - p, hi - p, self.eta,
-                                 _FAR_OFFSETS if j == own
-                                 else _IMAGE_OFFSETS).size]
 
     def grid_values(self) -> np.ndarray:
         """Raw grid values, (n, n) (+inf at grid-aligned singular points).
@@ -451,12 +415,13 @@ class SingularField:
         quadratically at the singular point instead of overflowing.
         """
         pts = self.grid.points()
+        lo, hi = _box(pts)
         out = np.ones(pts.shape[0])
         for p, s in zip(self.points, self.strengths):
             if abs(s + 4.0 * math.pi) > 1e-12:
                 raise ConfigError("stable exponential needs strength -4 pi")
-            dall = _live_images(pts, p, self.eta)[1]
-            z = (dall ** 2).sum(axis=2) / (2.0 * self.eta * self.eta)
+            live = _live_offsets(lo - p, hi - p, self.eta)
+            z = _displacements(pts, p, self.eta, live)[2]
             out = out * np.prod(_exp_neg_e1(z), axis=1)
         return out.reshape(self.grid.n, self.grid.n)
 

@@ -168,11 +168,21 @@ def _check_scale(tf_eps: float, L: float) -> None:
             f"L*eps = {L * tf_eps:.3f} too large; need L*eps < 1/8")
 
 
+# A field's own pole (log coefficient -4) puts e^{G_k} / eps^2 at about
+# e^A (stitch L eps)^-4 eps^-2 on the stitch circle, where the ring
+# quadrature (_ring_block) forms it.  (L eps)^-4 eps^-2
+# must stay below the largest double by e^_EXP_MARGIN, which leaves room
+# for e^A up to e^{8 + 4 log 2} = e^{10.8} at stitch 2; the own-pole A of
+# the flat and cosine:0.5 pairs lies between -5.6 and -3.7.
+_EXP_MARGIN = 8.0
+
+
 def _window_radius(eps: float, L: float | None) -> tuple:
     """(L, L*eps) for a test pair at scale eps, L = coupling_L(eps) if
-    None; a ConfigError unless both are positive and (L*eps)^2 is finite
+    None; a ConfigError unless both are positive, (L*eps)^2 is finite
     and at least the smallest normal double (below it the band's
-    |grad G|^2, about 4 / (L*eps)^2, overflows)."""
+    |grad G|^2, about 4 / (L*eps)^2, overflows), and e^G / eps^2 at the
+    stitch circle stays finite (see _EXP_MARGIN)."""
     if not eps > 0.0:
         raise ConfigError(f"eps must be positive, got {eps}")
     if L is None:
@@ -186,6 +196,12 @@ def _window_radius(eps: float, L: float | None) -> tuple:
     if not le * le >= sys.float_info.min:
         raise ConfigError(f"window radius L*eps = {le:.3g} too small: its "
                           f"square underflows")
+    log_peak = -2.0 * math.log(eps) - 4.0 * math.log(le)
+    limit = math.log(sys.float_info.max) - _EXP_MARGIN
+    if log_peak > limit:
+        raise ConfigError(f"eps = {eps:.3g} too small: e^G / eps^2 at the "
+                          f"stitch circle, about (L*eps)^-4 eps^-2 = "
+                          f"e^{log_peak:.1f}, must stay below e^{limit:.1f}")
     return L, le
 
 

@@ -103,11 +103,14 @@ def test_bad_values_exit_64_with_one_line(tmp_path, capsys, text):
     assert not (tmp_path / "solve.json").exists()
 
 
-@pytest.mark.parametrize("tail", ["1e-300", "5e-324", "1e-160"])
-@pytest.mark.parametrize("coupling", ["auto", "fixed:2.0"])
+@pytest.mark.parametrize("coupling, tail", [
+    (coupling, tail) for coupling in ("auto", "fixed:2.0")
+    for tail in ("1e-300", "5e-324", "1e-160", "1e-80")] + [
+    ("fixed:2.0", "1e-55")])
 def test_tiny_eps_exits_64_with_one_line(tmp_path, capsys, tail, coupling):
-    # eps^2 underflows, L overflows or the window radius squared
-    # underflows: a configuration error before any row is evaluated
+    # eps^2 underflows, L overflows, the window radius squared underflows
+    # or e^G / eps^2 at the stitch circle overflows: a configuration
+    # error before any row is evaluated
     path = write_config(tmp_path, "grid.n = 32\npoints = 0.25,0.25;0.75,0.75\n"
                         f"testfn.L_coupling = {coupling}\n"
                         f"testfn.eps_list = 1e-2,1e-3,1e-4,{tail}\n")
@@ -116,6 +119,21 @@ def test_tiny_eps_exits_64_with_one_line(tmp_path, capsys, tail, coupling):
     assert err.startswith("configuration error: ") and "too small" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "testfn.json").exists()
+
+
+@pytest.mark.parametrize("coupling, tail", [("auto", "1e-75"),
+                                            ("fixed:2.0", "1e-50")])
+def test_small_eps_near_the_limit_runs(tmp_path, capsys, tail, coupling):
+    # the smallest eps of each coupling that the window check lets
+    # through runs with no overflow
+    path = write_config(tmp_path, "grid.n = 32\npoints = 0.25,0.25;0.75,0.75\n"
+                        f"testfn.L_coupling = {coupling}\n"
+                        f"testfn.eps_list = 1e-2,1e-3,1e-4,{tail}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["testfn", "--config", path, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "testfn.json").exists()
 
 
 _NUMBER = st.one_of(st.integers().map(str), st.floats().map(repr))
@@ -249,6 +267,40 @@ def test_solve_unconverged_exits_2_with_one_line(tmp_path, capsys,
     assert payload["stop_reason"] == stop
     assert payload["converged"] is False
     assert (tmp_path / "u1.txt").exists() and (tmp_path / "u2.txt").exists()
+
+
+@pytest.mark.parametrize("stop", ["stagnation", "max_iter", "error"])
+def test_sweep_unconverged_exits_2_with_one_line(tmp_path, capsys,
+                                                 monkeypatch, stop):
+    # the zero start converges at once, so the descent is replaced by one
+    # that stops short (or raises) at the second eps: the report is still
+    # written
+    from dataclasses import replace
+
+    from todalab import diagnostics
+    from todalab.errors import SolverError
+
+    real = diagnostics.minimize_phi_eps
+
+    def stopped_short(init, eps, *args):
+        final, report = real(init, eps, *args)
+        if eps == 0.5 and stop == "error":
+            raise SolverError("descent failed")
+        if eps == 0.5:
+            report = replace(report, stop_reason=stop)
+        return final, report
+
+    monkeypatch.setattr(diagnostics, "minimize_phi_eps", stopped_short)
+    path = write_config(tmp_path, "grid.n = 16\nsweep.eps_list = 1.0,0.5\n")
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "sweep: 2 runs" in captured.out
+    assert captured.err == (f"numerical failure: sweep did not converge at "
+                            f"eps 0.5 ({stop})\n")
+    runs = json.loads((tmp_path / "sweep.json").read_text())["runs"]
+    assert runs[0]["stop_reason"] == "grad_tol"
+    assert runs[1].get("stop_reason", "error") == stop
+    assert (runs[1]["error"] != "") == (stop == "error")
 
 
 def test_solve_requires_eps(tmp_path, capsys):

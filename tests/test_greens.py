@@ -17,6 +17,7 @@ from todalab.greens import (
     local_expansion,
     residual_sample_points,
 )
+from todalab import spectral
 from todalab.spectral import TorusGrid
 from torus_integrals import integrate_values
 
@@ -359,11 +360,20 @@ def image_batch(n, p, rng):
                            p + ring + np.array([1.0, 0.0])])
 
 
+def box_decision(pts, p, eta, offsets=None):
+    """The live offsets of pole p for a batch, decided as the batch
+    driver decides them: from the box of the points, less p."""
+    from todalab.greens import _IMAGE_OFFSETS, _box, _live_offsets
+
+    lo, hi = _box(pts)
+    return _live_offsets(lo - p, hi - p, eta,
+                         _IMAGE_OFFSETS if offsets is None else offsets)
+
+
 @pytest.mark.parametrize("n", [16, 32, 128])
 def test_culled_image_sums_match_nine_images(n):
     from todalab.greens import (_FAR_OFFSETS, _Z_SKIP, _e1_plus_log, _exp1,
-                                _exp_neg_e1, _image_gradient, _image_sum,
-                                _image_sum_regular, SingularField,
+                                _exp_neg_e1, _image_pass, SingularField,
                                 split_width)
 
     grid = TorusGrid(n)
@@ -376,25 +386,29 @@ def test_culled_image_sums_match_nine_images(n):
     single = live.sum(axis=1) <= 1
 
     terms = np.where(live, _exp1(np.where(live, z, 1.0)), 0.0) / (4 * math.pi)
-    got = _image_sum(pts, p, eta)
+    got = _image_pass(pts, p, eta, box_decision(pts, p, eta), False)[0]
     assert np.all(np.abs(got - terms.sum(axis=1)) <= 1e-15 * got)
     assert np.array_equal(got[single], terms.sum(axis=1)[single])
 
     w = np.where(live, -np.exp(-z) / (2 * math.pi * r2), 0.0)
     parts = w[:, :, None] * dall
     ref = parts.sum(axis=1)
-    got = _image_gradient(pts, p, eta)
+    got = _image_pass(pts, p, eta, box_decision(pts, p, eta), True)[1]
     scale = np.abs(parts).sum(axis=1)
     assert np.all(np.abs(got - ref) <= 1e-15 * scale)
     assert np.array_equal(got[single], ref[single])
 
+    # the regular part of a unit pole with a zero band: the nearest image
+    # plus (1/2 pi) log r, and the far images through the batch driver
+    field = SingularField(grid, [p], [1.0],
+                          np.zeros(grid.mode_shape, dtype=complex))
     d = (pts - p + 0.5) % 1.0 - 0.5
     z_near = (d ** 2).sum(axis=1) / (2 * eta * eta)
     _, _, z_far = nine_image_terms(pts, p, eta, _FAR_OFFSETS)
     far = np.where(z_far < _Z_SKIP, _exp1(np.minimum(z_far, _Z_SKIP)), 0.0)
     ref = (_e1_plus_log(z_near) + math.log(2 * eta * eta)) / (4 * math.pi) \
         + far.sum(axis=1) / (4 * math.pi)
-    got = _image_sum_regular(pts, p, eta)
+    got = field.eval_regular(pts, 0)
     assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
     far_single = (z_far < _Z_SKIP).sum(axis=1) == 0
     assert np.array_equal(got[far_single], ref[far_single])
@@ -410,10 +424,46 @@ def test_culled_image_sums_match_nine_images(n):
         assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("n", [16, 128])
+def test_regular_part_over_batches_matches_nine_images(n):
+    # more points than one batch holds, in a disc about p across the
+    # wrap line x = 1, whose box reaches the other pole q as well
+    from todalab.greens import (_FAR_OFFSETS, _IMAGE_CHUNK, _Z_SKIP,
+                                _e1_plus_log, _exp1, SingularField,
+                                split_width)
+
+    grid = TorusGrid(n)
+    eta = split_width(grid)
+    rng = np.random.default_rng(400 + n)
+    p, q = np.array([0.93, 0.11]), np.array([0.05, 0.15])
+    pts = point_cluster(rng, p, 0.15, _IMAGE_CHUNK + 500)
+    rows = np.array([1.0, 0.5])
+    field = SingularField(grid, [p, q], rows,
+                          np.zeros(grid.mode_shape, dtype=complex))
+    for lo in range(0, pts.shape[0], _IMAGE_CHUNK):
+        batch = pts[lo:lo + _IMAGE_CHUNK]
+        assert np.any(batch[:, 0] >= 1.0) and np.any(batch[:, 0] < 1.0)
+        assert box_decision(batch, q, eta).size > 0
+
+    d = (pts - p + 0.5) % 1.0 - 0.5
+    z_near = (d ** 2).sum(axis=1) / (2 * eta * eta)
+    near = (_e1_plus_log(z_near) + math.log(2 * eta * eta)) / (4 * math.pi)
+    _, _, z_far = nine_image_terms(pts, p, eta, _FAR_OFFSETS)
+    far = np.where(z_far < _Z_SKIP, _exp1(np.minimum(z_far, _Z_SKIP)),
+                   0.0).sum(axis=1) / (4 * math.pi)
+    _, _, z_q = nine_image_terms(pts, q, eta)
+    other = np.where(z_q < _Z_SKIP, _exp1(np.minimum(z_q, _Z_SKIP)),
+                     0.0).sum(axis=1) / (4 * math.pi)
+    ref = rows[0] * (near + far) + rows[1] * other
+    got = field.eval_regular(pts, 0)
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+    assert np.max(other) > 1e-3
+
+
 @pytest.mark.parametrize("n", [16, 32, 128])
 def test_fused_image_pass_matches_nine_images(n):
-    from todalab.greens import (_Z_SKIP, _exp1, _image_gradient, _image_pass,
-                                _image_sum, SingularField, split_width)
+    from todalab.greens import _Z_SKIP, _exp1, _image_pass, SingularField, \
+        split_width
 
     grid = TorusGrid(n)
     eta = split_width(grid)
@@ -424,7 +474,7 @@ def test_fused_image_pass_matches_nine_images(n):
     live = z < _Z_SKIP
     single = live.sum(axis=1) <= 1
 
-    values, grads = _image_pass(pts, p, eta)
+    values, grads = _image_pass(pts, p, eta, box_decision(pts, p, eta), True)
     ref = (np.where(live, _exp1(np.where(live, z, 1.0)), 0.0)
            / (4 * math.pi)).sum(axis=1)
     assert np.all(np.abs(values - ref) <= 1e-15 * values)
@@ -434,21 +484,20 @@ def test_fused_image_pass_matches_nine_images(n):
     ref = parts.sum(axis=1)
     assert np.all(np.abs(grads - ref) <= 1e-15 * np.abs(parts).sum(axis=1))
     assert np.array_equal(grads[single], ref[single])
-    # one pass gives bit-for-bit what the two separate kernels give
-    assert np.array_equal(values, _image_sum(pts, p, eta))
-    assert np.array_equal(grads, _image_gradient(pts, p, eta))
 
-    # and so does a field's combined pass, for one row and for several
+    # a field's batched pass is the kernel's terms times the strengths,
+    # for one row and for several
     q = np.array([0.4, 0.6])
     field = SingularField(grid, [p, q], [8 * math.pi, -4 * math.pi],
                           np.zeros(grid.mode_shape, dtype=complex))
+    g_p, g_q = (_image_pass(pts, c, eta, box_decision(pts, c, eta), True)[1]
+                for c in (p, q))
     rows = np.array([[8 * math.pi, -4 * math.pi], [-4 * math.pi, 8 * math.pi]])
     for strengths in (None, rows):
         values, grads = field.image_gradients(pts, strengths)
         assert np.array_equal(values, field.image_values(pts, strengths))
         w = np.atleast_2d(field.strengths if strengths is None else strengths)
-        ref = (w[:, :1, None] * _image_gradient(pts, p, eta)
-               + w[:, 1:, None] * _image_gradient(pts, q, eta))
+        ref = w[:, :1, None] * g_p + w[:, 1:, None] * g_q
         assert np.array_equal(grads, ref if strengths is not None else ref[0])
     assert np.array_equal(field.eval_gradient(pts),
                           field.image_gradients(pts)[1])
@@ -513,7 +562,8 @@ def test_polar_near_image_matches_mpmath(n):
     (128, ((0.01, 0.99), (0.5, 0.4))),      # a pole at the torus edge
 ], ids=["n32", "close-poles", "edge"])
 def test_polar_images_match_nine_images(n, poles):
-    from todalab.greens import SingularField, _exp1, split_width
+    from todalab.greens import (_FAR_OFFSETS, SingularField, _exp1,
+                                split_width)
 
     grid = TorusGrid(n)
     eta = split_width(grid)
@@ -533,9 +583,9 @@ def test_polar_images_match_nine_images(n, poles):
         # the geometry exercises what its name says: pole i's far images,
         # or the other pole from the outer circles, within reach
         if n == 32:
-            assert i in field._poles_in_reach(pts, i)
+            assert box_decision(pts, poles[i], eta, _FAR_OFFSETS).size
         if np.hypot(*((poles[0] - poles[1] + 0.5) % 1.0 - 0.5)) < 0.2:
-            assert 1 - i in field._poles_in_reach(pts[-nth * 10:], i)
+            assert box_decision(pts[-nth * 10:], poles[1 - i], eta).size
 
         ref_v = ref_g = scale_v = scale_g = 0.0
         for j, p in enumerate(poles):
@@ -579,8 +629,9 @@ def hull_rule(d, eta):
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
-def test_pole_skip_decides_as_live_images(n):
-    from todalab.greens import (_IMAGE_OFFSETS, _Z_SKIP, _live_images,
+def test_pole_skip_decides_as_live_images(n, monkeypatch):
+    from todalab import greens
+    from todalab.greens import (_IMAGE_OFFSETS, _Z_SKIP, _box,
                                 _live_offsets, SingularField, split_width)
 
     grid = TorusGrid(n)
@@ -608,14 +659,31 @@ def test_pole_skip_decides_as_live_images(n):
         for r in (1e-3, 0.03):
             clusters.append(point_cluster(rng, p + [0.5, t], r))
             clusters.append(point_cluster(rng, p + [t, 0.5], r))
+    # the offsets the batch driver hands the kernel, per pole
+    handed = []
+    kernel = greens._image_pass
+
+    def recording(points, c, eta_, live, gradients):
+        handed.append((c, live))
+        return kernel(points, c, eta_, live, gradients)
+
+    monkeypatch.setattr(greens, "_image_pass", recording)
     seen = {(cross, skip): 0 for cross in (False, True) for skip in (0, 1)}
     for pts in clusters:
-        d, dall = _live_images(pts, p, eta)
-        live = _live_offsets(pts.min(axis=0) - p, pts.max(axis=0) - p, eta)
-        # the skip and _live_images take one decision
-        assert np.array_equal(dall, d[:, None, :] + live[None, :, :])
-        skip = 1 not in field._poles_in_reach(pts)
+        d = spectral.wrap_offset(pts - p)
+        # the decision on the box of the displacements pts - p, and the
+        # driver's on the points' box less p: one decision, because
+        # rounding is monotone, min fl(x_i - p) = fl(min x_i - p)
+        live = _live_offsets(*_box(pts - p), eta)
+        assert np.array_equal(box_decision(pts, p, eta), live)
+        # the driver skips p exactly when no image is live, and hands
+        # the kernel these offsets otherwise
+        handed.clear()
+        field.image_values(pts)
+        got = [o for c, o in handed if np.array_equal(c, p)]
+        skip = not got
         assert skip == (live.size == 0)
+        assert skip or np.array_equal(got[0], live)
         # a dropped image is out of reach of every point
         dropped = [o for o in _IMAGE_OFFSETS if not (live == o).all(1).any()]
         for o in dropped:
@@ -679,19 +747,25 @@ def test_pole_skip_is_bit_identical(n, poles, monkeypatch):
                          field.image_values(pts, None, polar))
         return out
 
-    reach = greens.SingularField._poles_in_reach
-    kept = []
+    # the driver decides once per pole and batch, so consecutive pairs of
+    # decisions are one batch's; count the poles each batch keeps
+    decide = greens._live_offsets
+    sizes = []
 
-    def counting(self, batch, own=None):
-        out = reach(self, batch, own)
-        kept.append(len(out))
+    def counting(lo, hi, eta, offsets=greens._IMAGE_OFFSETS):
+        out = decide(lo, hi, eta, offsets)
+        sizes.append(out.size)
         return out
 
-    monkeypatch.setattr(greens.SingularField, "_poles_in_reach", counting)
+    monkeypatch.setattr(greens, "_live_offsets", counting)
     got = passes()
-    assert 0 in kept and 1 in kept and 2 in kept
-    monkeypatch.setattr(greens.SingularField, "_poles_in_reach",
-                        lambda self, batch, own=None: [0, 1])
+    kept = {int(np.count_nonzero(sizes[k:k + 2]))
+            for k in range(0, len(sizes), 2)}
+    assert kept == {0, 1, 2}
+    # the reference skips nothing and culls no image
+    monkeypatch.setattr(greens, "_live_offsets",
+                        lambda lo, hi, eta, offsets=greens._IMAGE_OFFSETS:
+                        offsets)
     ref = passes()
     for name in got:
         for a, b in zip(got[name], ref[name]):
