@@ -11,6 +11,7 @@ Delta_g = e^{-phi} Delta_0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,16 +31,22 @@ _LOG_MAX_DOUBLE = float(np.log(np.finfo(float).max))
 
 @dataclass(frozen=True)
 class Metric:
-    """Unit-area conformal metric: exponent, curvature, cached area weight."""
+    """Unit-area conformal metric: exponent, area weight, lazy curvature."""
 
     phi: ScalarField
-    curvature: ScalarField
     area: float
     weight: np.ndarray  # e^phi at grid points
 
     @property
     def grid(self) -> TorusGrid:
         return self.phi.grid
+
+    @cached_property
+    def curvature(self) -> ScalarField:
+        """K = -(1/2) e^{-phi} Delta_0 phi, dealiased."""
+        curv = spectral.product_dealiased(ScalarField(
+            self.grid, 1.0 / self.weight), spectral.laplacian0(self.phi))
+        return ScalarField(self.grid, -0.5 * curv.values)
 
     @property
     def is_flat(self) -> bool:
@@ -75,12 +82,11 @@ def make_flat_torus(n: int) -> Metric:
     """The flat unit-area torus: phi = 0, K = 0."""
     grid = TorusGrid(n)
     zero = ScalarField.constant(grid, 0.0)
-    return Metric(phi=zero, curvature=ScalarField.constant(grid, 0.0),
-                  area=1.0, weight=np.ones((n, n)))
+    return Metric(phi=zero, area=1.0, weight=np.ones((n, n)))
 
 
 def make_conformal_metric(phi_raw: ScalarField) -> Metric:
-    """Normalize a raw conformal exponent to unit area and compute curvature."""
+    """Normalize a raw conformal exponent to unit area."""
     if not np.all(np.isfinite(phi_raw.values)):
         raise DataError("conformal exponent contains non-finite values")
     grid = phi_raw.grid
@@ -103,12 +109,7 @@ def make_conformal_metric(phi_raw: ScalarField) -> Metric:
             "conformal factor e^phi underflows or overflows on the grid "
             f"(raw exponent spans [{float(np.min(phi_raw.values)):.6g}, "
             f"{m:.6g}])")
-    area = float(np.mean(weight))
-    lap = spectral.laplacian0(phi)
-    inv_weight = ScalarField(grid, 1.0 / weight)
-    curv = spectral.product_dealiased(inv_weight, lap)
-    curvature = ScalarField(grid, -0.5 * curv.values)
-    return Metric(phi=phi, curvature=curvature, area=area, weight=weight)
+    return Metric(phi=phi, area=float(np.mean(weight)), weight=weight)
 
 
 # Monomial exponents for the degree-3 local fit: 1, x, y, x^2, y^2, xy, cubics.

@@ -506,12 +506,6 @@ class GreenPair:
             raise ConfigError(f"field index must be 1 or 2, got {which}")
         return self.G1 if which == 1 else self.G2
 
-    def expansion(self, which: int, point_index: int) -> LocalExpansion:
-        key = (which, point_index)
-        if key not in self.expansions:
-            raise ConfigError(f"expansion {key} not extracted yet")
-        return self.expansions[key]
-
 
 def _metric_correction_modes(metric: Metric) -> np.ndarray:
     """Modes of q with Delta_0 q = e^phi - 1 (zero for the flat torus)."""

@@ -10,7 +10,8 @@ below grid resolution at the smallest scales, so the evaluation is
 hybrid by region:
 
 * bubble discs: closed forms (scale-invariant Dirichlet energies,
-  explicit radial integrals, quadratic metric corrections);
+  explicit radial integrals, quadratic metric corrections), with their
+  (e^phi - 1)-weighted parts by polar quadrature on a curved metric;
 * interpolation annuli and small discs: polar quadrature with *exact*
   field evaluations (image sums + band-limited mode sums) — no fitted
   quadratic of the Green's field ever enters an integrand, because its
@@ -19,6 +20,11 @@ hybrid by region:
 * outer region: Green's identity turns Dirichlet integrals into circle
   fluxes plus small-disc integrals, and the exponential integrals use a
   smoothly masked grid sum stitched to dyadic radial panels.
+
+Every branch is read from the Green pair's data: a field carries the
+full bubble where its log coefficient is -4 and minus half a bubble
+where it is +2, and a field with no own pole is the normalized one.
+The case tag enters only the closing constants and the fits.
 
 Expansion data enters the fields only through additive matching
 constants (A, lambda, mu); continuity at the interfaces is exact by
@@ -94,20 +100,19 @@ class TestFunctionPair:
     """Piecewise two-field test pair at scale eps with truncation L.
 
     The Green pair owns the metric, the points and the expansions:
-    pair.expansions[(k, i)] supplies field k's log coefficient, additive
-    matching data and chart scale at point i.  Branch bookkeeping per
-    field k in {1, 2} and point index i: `half[(k, i)]` says whether field
-    k carries the full bubble or minus half of one in the disc at point
-    i; `disc_const` is the additive constant of that disc branch;
-    `outer_const[k]` is the constant added to G_k outside (zero for the
-    second field in the one-point case, where the outer branch is G_2
-    itself).
+    pair.expansions[(k, i)] supplies field k's log coefficient a, additive
+    matching data and chart scale at point i, and every branch is read
+    from them, for any layout of poles.  In the disc at point i field k
+    carries the full bubble where a = -4 (its own pole) and minus half a
+    bubble where a = +2 (`half`); `disc_const` is that disc branch's
+    additive constant, and `outer_const[k]` the constant added to G_k
+    outside (zero for a field with no pole of its own, whose outer branch
+    is G_k itself).
     """
 
     pair: GreenPair
     eps: float
     L: float
-    half: dict
     disc_const: dict
     outer_const: dict
 
@@ -115,15 +120,15 @@ class TestFunctionPair:
     def log_one_plus_piL2(self) -> float:
         return math.log1p(math.pi * self.L * self.L)
 
-    def tilt(self, k: int, i: int):
-        e = self.pair.expansions[(k, i)]
-        return e.lam, e.mu
+    def half(self, k: int, i: int) -> bool:
+        """Whether field k carries minus half a bubble at point i."""
+        return self.pair.expansions[(k, i)].a > 0.0
 
     def disc_profile(self, k: int, i: int, rho: np.ndarray) -> np.ndarray:
         """Field k's bubble, or minus half of one, in the disc at point i
         at normalized radii rho (without the tilt and disc_const)."""
         w = _bubble(rho / self.eps)
-        if self.half[(k, i)]:
+        if self.half(k, i):
             return -(w + 2.0 * self.log_one_plus_piL2) / 2.0
         return w
 
@@ -162,12 +167,6 @@ def _require_expansions(pair: GreenPair) -> None:
         extract_expansions(pair)
 
 
-def _check_scale(tf_eps: float, L: float) -> None:
-    if L * tf_eps >= 0.125:
-        raise ConfigError(
-            f"L*eps = {L * tf_eps:.3f} too large; need L*eps < 1/8")
-
-
 # A field's own pole (log coefficient -4) puts e^{G_k} / eps^2 at about
 # e^A (stitch L eps)^-4 eps^-2 on the stitch circle, where the ring
 # quadrature (_ring_block) forms it.  (L eps)^-4 eps^-2
@@ -177,12 +176,20 @@ def _check_scale(tf_eps: float, L: float) -> None:
 _EXP_MARGIN = 8.0
 
 
-def _window_radius(eps: float, L: float | None) -> tuple:
-    """(L, L*eps) for a test pair at scale eps, L = coupling_L(eps) if
-    None; a ConfigError unless both are positive, (L*eps)^2 is finite
-    and at least the smallest normal double (below it the band's
-    |grad G|^2, about 4 / (L*eps)^2, overflows), and e^G / eps^2 at the
-    stitch circle stays finite (see _EXP_MARGIN)."""
+def _separation(points) -> float:
+    """Smallest wrapped distance between two of the points; inf for one."""
+    return min((float(np.sqrt((spectral.wrap_offset(np.asarray(p) - q) ** 2)
+                              .sum())) for j, q in enumerate(points)
+                for p in points[:j]), default=math.inf)
+
+
+def _window_radius(eps: float, L: float | None, points) -> tuple:
+    """(L, L*eps) for a test pair at scale eps around `points`, L =
+    coupling_L(eps) if None; a ConfigError unless both are positive,
+    (L*eps)^2 is finite and at least the smallest normal double (below it
+    the band's |grad G|^2, about 4 / (L*eps)^2, overflows), and e^G / eps^2
+    at the stitch circle stays finite (see _EXP_MARGIN); a GeometryError
+    unless L*eps < separation/4 for every two points; then L*eps < 1/8."""
     if not eps > 0.0:
         raise ConfigError(f"eps must be positive, got {eps}")
     if L is None:
@@ -202,47 +209,50 @@ def _window_radius(eps: float, L: float | None) -> tuple:
         raise ConfigError(f"eps = {eps:.3g} too small: e^G / eps^2 at the "
                           f"stitch circle, about (L*eps)^-4 eps^-2 = "
                           f"e^{log_peak:.1f}, must stay below e^{limit:.1f}")
+    sep = _separation(points)
+    if le >= sep / 4.0:
+        raise GeometryError(
+            f"window radius L*eps = {le:.4f} overlaps another point "
+            f"(separation {sep:.4f}); need L*eps < separation/4")
+    if le >= 0.125:
+        raise ConfigError(f"L*eps = {le:.3f} too large; need L*eps < 1/8")
     return L, le
+
+
+def _own_poles(pair: GreenPair) -> dict:
+    """{k: index of field k's own pole}, where its log coefficient is -4;
+    a field with no pole of its own has no entry."""
+    return {k: i for (k, i), e in pair.expansions.items() if e.a < 0.0}
 
 
 def build_test_pair(pair: GreenPair, eps: float,
                     L: float | None = None) -> TestFunctionPair:
     """Test pair at scale eps with truncation L (coupling_L(eps) if None).
 
-    Two-point pair: field k bubbles at point k-1 and carries minus half a
-    bubble at the other point.  One-point pair: the first field bubbles
-    at p; the second carries the half-bubble there and equals G_2 outside
-    (no additive constant).  Each point's chart scale exp(phi(p)/2) is
-    the one its expansions were taken in.
+    Field k bubbles at its own pole, outside which it is G_k + 4 log(L eps)
+    - 2 log(1 + pi L^2) - A_own (G_k alone without an own pole), and
+    carries minus half a bubble, with disc constant 2 log(L eps) + A +
+    outer_const[k], at every other point.  Each point's chart scale
+    exp(phi(p)/2) is the one its expansions were taken in.
     """
-    L, le = _window_radius(eps, L)
-    if pair.case_tag == "one":
-        sep = float(np.linalg.norm(spectral.wrap_offset(
-            np.asarray(pair.points[1])[None, :] - np.asarray(pair.points[0]))))
-        if le >= sep / 4.0:
-            raise GeometryError(
-                f"window radius L*eps = {le:.4f} overlaps the other "
-                f"point (separation {sep:.4f}); need L*eps < separation/4")
-    _check_scale(eps, L)
+    L, le = _window_radius(eps, L, pair.points)
     _require_expansions(pair)
+    log_le = math.log(le)
     l1p = math.log1p(math.pi * L * L)
-    A = {key: e.A for key, e in pair.expansions.items()}
-    if pair.case_tag == "one":
-        half, disc_const, outer_const = {}, {}, {}
-        for k, own in ((1, 0), (2, 1)):
-            other = 1 - own
-            outer_const[k] = 4.0 * math.log(le) - 2.0 * l1p - A[(k, own)]
-            half[(k, own)] = False
-            disc_const[(k, own)] = 0.0
-            half[(k, other)] = True
-            disc_const[(k, other)] = (6.0 * math.log(le) - 2.0 * l1p
-                                      + A[(k, other)] - A[(k, own)])
-    else:
-        half = {(1, 0): False, (2, 0): True}
-        disc_const = {(1, 0): 0.0, (2, 0): 2.0 * math.log(le) + A[(2, 0)]}
-        outer_const = {1: 4.0 * math.log(le) - 2.0 * l1p - A[(1, 0)], 2: 0.0}
-    return TestFunctionPair(pair=pair, eps=eps, L=L, half=half,
-                            disc_const=disc_const, outer_const=outer_const)
+    own = _own_poles(pair)
+    disc_const, outer_const = {}, {}
+    for k in (1, 2):
+        # outer_const[k] term by term; a half-bubble disc constant adds
+        # them in this order after 2 log(L eps) (2x + 4x is 6x to the bit)
+        terms = ((4.0 * log_le, 2.0 * l1p, pair.expansions[(k, own[k])].A)
+                 if k in own else (0.0, 0.0, 0.0))
+        outer_const[k] = terms[0] - terms[1] - terms[2]
+        for i in range(len(pair.points)):
+            e = pair.expansions[(k, i)]
+            disc_const[(k, i)] = 0.0 if e.a < 0.0 else (
+                2.0 * log_le + terms[0] - terms[1] + e.A - terms[2])
+    return TestFunctionPair(pair=pair, eps=eps, L=L, disc_const=disc_const,
+                            outer_const=outer_const)
 
 
 def field_on_grid(tf: TestFunctionPair, which: int) -> ScalarField:
@@ -414,16 +424,16 @@ class _Phi0Evaluator:
         self.r_st = [stitch * self.le / c for c in self.scales]
         self.delta_cut = self._outer_radius()
         self.a_chi = [max(r, 0.6 * self.delta_cut) for r in self.r_st]
+        # a field with no own pole is the normalized one (mean mean_G2)
+        self.own = _own_poles(pair)
+        self.field_mean = {k: 0.0 if k in self.own else pair.mean_G2
+                           for k in (1, 2)}
+        self.sourced = pair.exp_G2_values is not None    # e^{G2} in Lap G
         self.pieces: dict[str, float] = {}
 
     def _outer_radius(self) -> float:
-        points = self.pair.points
-        if len(points) == 2:
-            sep = float(np.sqrt((spectral.wrap_offset(
-                points[0] - points[1]) ** 2).sum()))
-            cap = 0.4 * sep
-        else:
-            cap = 0.25
+        sep = _separation(self.pair.points)
+        cap = 0.4 * sep if sep < math.inf else 0.25
         r_min = max(max(self.r_st), 0.05)
         delta = max(min(0.2, cap), 1.25 * r_min)
         if delta > min(0.45, 2.0 * cap):
@@ -545,12 +555,11 @@ class _Phi0Evaluator:
                 # vanishing singular point: e^{G_k} ~ rho^2, integrable disc
                 out[f"exp_gdisc_{k}"] = float(np.sum(np.exp(G[k]) * w_area))
 
-        if self.pair.case_tag == "two":
+        if self.sourced:
             eg2 = np.exp(G[2])
             for k in (1, 2):
                 out[f"green_disc_g2w_{k}"] = float(np.sum(
                     G[k] * eg2 * w_area))
-            out["exp_g2_disc"] = float(np.sum(eg2 * w_area))
         return out
 
     # -- flux circles -------------------------------------------------------
@@ -626,21 +635,22 @@ class _Phi0Evaluator:
         E_L = bubble_dirichlet_energy(L)
         W_L = _bubble_area_integral(L)
         qmass = {key: _tilt_mass(pair.metric, pair.points[key[1]], e)[1]
-                 for key, e in pair.expansions.items() if not tf.half[key]}
+                 for key, e in pair.expansions.items() if not tf.half(*key)}
         npts = len(pair.points)
 
         blocks = [self._point_block(i) for i in range(npts)]
         fluxes = [self._flux_block(i) for i in range(npts)]
+        disc_g = self._stitch_disc_integrals(blocks)
 
         # Dirichlet: closed disc forms + band quadrature + outer identity
         dir_tot = {}
         for k, m in ((1, 1), (2, 2), (1, 2)):
             val = 0.0
             for i in range(npts):
-                lk = np.asarray(tf.tilt(k, i))
-                lm = np.asarray(tf.tilt(m, i))
-                sk = -0.5 if tf.half[(k, i)] else 1.0
-                sm = -0.5 if tf.half[(m, i)] else 1.0
+                lk, lm = (np.asarray((e.lam, e.mu)) for e in
+                          (pair.expansions[(k, i)], pair.expansions[(m, i)]))
+                sk = -0.5 if tf.half(k, i) else 1.0
+                sm = -0.5 if tf.half(m, i) else 1.0
                 val += sk * sm * E_L + math.pi * le * le * float(lk @ lm)
                 val += blocks[i][f"dir_{k}{m}"]
             pieces[f"dirichlet_inner_{k}{m}"] = val
@@ -648,16 +658,15 @@ class _Phi0Evaluator:
             for i in range(npts):
                 outer += 0.5 * (fluxes[i][f"flux_{k}{m}"]
                                 + fluxes[i][f"flux_{m}{k}"])
-            outer += self._outer_source_term(k, m, blocks)
+            outer += 0.5 * (self._outer_source(k, m, disc_g, blocks)
+                            + self._outer_source(m, k, disc_g, blocks))
             pieces[f"dirichlet_outer_{k}{m}"] = outer
             dir_tot[(k, m)] = val + outer
 
         # mean terms
         means = {}
         for k in (1, 2):
-            base = tf.outer_const[k]
-            if pair.case_tag == "two" and k == 2:
-                base += pair.mean_G2
+            base = tf.outer_const[k] + self.field_mean[k]
             corr = 0.0
             for i in range(npts):
                 c = self.scales[i]
@@ -665,7 +674,7 @@ class _Phi0Evaluator:
                 e = pair.expansions[(k, i)]
                 area_flat = math.pi * r_disc * r_disc
                 # bubble branch minus (G_k + C_k), log part in closed form
-                if tf.half[(k, i)]:
+                if tf.half(k, i):
                     wpart = -0.5 * eps * eps * W_L / (c * c) \
                         - self.l1p * area_flat
                 else:
@@ -677,8 +686,12 @@ class _Phi0Evaluator:
                 corr += (wpart + const_part + logpart
                          - blocks[i][f"mean_disc_reg_{k}"]
                          + blocks[i][f"mean_band_{k}"])
-                if not pair.metric.is_flat:
-                    corr += self._curved_disc_mean(k, i)
+                if not pair.metric.is_flat:     # the (w - 1) parts of those
+                    corr += self._metric_disc_integral(
+                        i, r_disc, r_disc * max(eps / le * 1e-3, 1e-12),
+                        lambda rho: tf.disc_profile(k, i, rho)
+                        + tf.disc_const[(k, i)] - tf.outer_const[k]
+                        - e.a * np.log(rho))
             means[k] = base + corr
             pieces[f"mean_{k}"] = means[k]
 
@@ -687,29 +700,27 @@ class _Phi0Evaluator:
         i0 = t / (1.0 + t)
         i2 = (math.log1p(t) + 1.0 / (1.0 + t) - 1.0) / math.pi
         for k in (1, 2):
-            own_discs = [i for i in range(npts) if not tf.half[(k, i)]]
-            other = [i for i in range(npts) if tf.half[(k, i)]]
+            own_discs = [i for i in range(npts) if not tf.half(k, i)]
+            other = [i for i in range(npts) if tf.half(k, i)]
             disc = sum(i0 + eps * eps * qmass[(k, i)] * i2 for i in own_discs)
             pieces[f"exp_disc_{k}"] = disc
             half_piece = 0.0
             for j in other:
-                dc = tf.disc_const[(k, j)]
-                half_piece += (math.exp(dc) / (1.0 + t)
+                half_piece += (math.exp(tf.disc_const[(k, j)]) / (1.0 + t)
                                * math.pi * L * L * (1.0 + t / 2.0)
                                / self.scales[j] ** 2)
             pieces[f"exp_half_{k}"] = half_piece
             band = sum(blocks[i][f"exp_band_{k}"] for i in range(npts))
-            if pair.case_tag == "two" and k == 2:
-                # outer branch is G_2 itself with unit total mass
-                small = ((disc + half_piece + band) * eps * eps
-                         - blocks[0]["exp_g2_disc"])
+            gdisc = sum(blocks[j][f"exp_gdisc_{k}"] for j in other)
+            if k not in self.own:
+                # outer branch is G_k itself with unit total mass
+                small = (disc + half_piece + band) * eps * eps - gdisc
                 logints[k] = math.log1p(small)
-                pieces["exp_outer_2"] = -blocks[0]["exp_g2_disc"]
+                pieces[f"exp_outer_{k}"] = -gdisc
             else:
-                own = own_discs[0]
+                own = self.own[k]
                 outer = self._ring_block(k, own) + self._grid_exp(k, own)
-                outer -= sum(blocks[j][f"exp_gdisc_{k}"] for j in other) \
-                    * math.exp(-2.0 * math.log(eps))
+                outer -= gdisc * math.exp(-2.0 * math.log(eps))
                 ecs = math.exp(tf.outer_const[k])
                 total = disc + half_piece + band + ecs * outer
                 pieces[f"exp_outer_{k}"] = ecs * outer
@@ -723,56 +734,48 @@ class _Phi0Evaluator:
         pieces["value"] = value
         return pieces
 
-    def _outer_source_term(self, k: int, m: int, blocks) -> float:
-        """Symmetrized -(outer integral of G_k Lap G_m + G_m Lap G_k)/2,
-        reduced to known torus integrals minus small-disc integrals."""
-        return 0.5 * (self._outer_source_one_way(k, m, blocks)
-                      + self._outer_source_one_way(m, k, blocks))
-
-    def _outer_source_one_way(self, k: int, m: int, blocks) -> float:
-        pair = self.pair
-        full_gk = 0.0 if k == 1 else (
-            pair.mean_G2 if pair.case_tag == "two" else 0.0)
-        disc_gk = []
-        for i in range(len(pair.points)):
-            e = pair.expansions[(k, i)]
-            c = self.scales[i]
-            r_st = self.r_st[i]
+    def _stitch_disc_integrals(self, blocks) -> dict:
+        """{(k, i): integral of G_k dV_g over the stitch disc at point i}:
+        a log rho against dx in closed form, plus its (w - 1) part."""
+        out = {}
+        for i in range(len(self.pair.points)):
+            c, r_st = self.scales[i], self.r_st[i]
             area = math.pi * r_st * r_st
-            disc_gk.append(e.a * (_log_disc_integral(r_st)
-                                  + math.log(c) * area)
-                           + blocks[i][f"green_disc_reg_{k}"])
-        if pair.case_tag == "one":
-            # Lap G_m = 4 pi e^phi off the sources
-            return FOUR_PI * (sum(disc_gk) - full_gk)
-        # one-point case: Lap G_1 = 4 pi (e^{G2} + 1) e^phi,
-        #                 Lap G_2 = 4 pi (1 - 2 e^{G2}) e^phi
-        gk_eg2_full = self.ev.exp_g2_integral(k)
-        gk_eg2_disc = blocks[0][f"green_disc_g2w_{k}"]
-        plain = full_gk - disc_gk[0]
-        weighted = gk_eg2_full - gk_eg2_disc
-        if m == 1:
-            return -FOUR_PI * (weighted + plain)
-        return -FOUR_PI * (plain - 2.0 * weighted)
+            log_part = _log_disc_integral(r_st) + math.log(c) * area
+            if not self.pair.metric.is_flat:
+                log_part += self._metric_disc_integral(i, r_st, 1e-12 * r_st,
+                                                       np.log)
+            for k in (1, 2):
+                out[(k, i)] = (self.pair.expansions[(k, i)].a * log_part
+                               + blocks[i][f"green_disc_reg_{k}"])
+        return out
 
-    def _curved_disc_mean(self, k: int, i: int) -> float:
-        """Metric correction to the disc mean integrals: the closed forms
-        above integrate against dx; this adds the (e^phi - 1)-weighted
-        parts of the explicit branch pieces by dyadic polar quadrature."""
-        tf = self.tf
-        r_disc = self.r_disc[i]
-        edges = [r_disc]
-        floor = r_disc * max(tf.eps / self.le * 1e-3, 1e-12)
+    def _outer_source(self, k: int, m: int, disc_g: dict, blocks) -> float:
+        """-(outer integral of G_k Lap G_m) = -4 pi (plain + c_m weighted):
+        Lap G_m = 4 pi (1 + c_m e^{G2}) e^phi off the poles, c = (1, -2)
+        with the e^{G2} source, else 0; plain and weighted are the dV_g
+        integrals of G_k and G_k e^{G2} less their stitch discs."""
+        npts = len(self.pair.points)
+        plain = self.field_mean[k] - sum(disc_g[(k, i)] for i in range(npts))
+        weighted = 0.0
+        if self.sourced:
+            weighted = (1.0, -2.0)[m - 1] * (
+                self.ev.exp_g2_integral(k)
+                - sum(blocks[i][f"green_disc_g2w_{k}"] for i in range(npts)))
+        return -FOUR_PI * (plain + weighted)
+
+    def _metric_disc_integral(self, i: int, R: float, floor: float,
+                              f) -> float:
+        """integral of f(rho) (w - 1) dx over the disc of chart radius R at
+        point i (rho = c r), what a closed form against dx leaves out: polar
+        panels halving from R to below floor, Gauss order 10, 32 angles."""
+        edges = [R]
         while edges[-1] > floor:
             edges.append(edges[-1] / 2.0)
         r_nodes, r_w = _panel_nodes(np.asarray(edges[::-1]), 10)
         nth = 32
         wgt = self.ev.polar(i, r_nodes, nth, gradients=False)["weight"]
-        rho = self.scales[i] * r_nodes
-        a = self.pair.expansions[(k, i)].a
-        branch = (tf.disc_profile(k, i, rho) + tf.disc_const[(k, i)]
-                  - tf.outer_const[k] - a * np.log(rho))
-        integrand = branch[:, None] * (wgt - 1.0)
+        integrand = f(self.scales[i] * r_nodes)[:, None] * (wgt - 1.0)
         th_w = 2.0 * math.pi / nth
         return float(np.sum(integrand * (r_nodes * r_w)[:, None]) * th_w)
 

@@ -180,7 +180,7 @@ def test_config_text_parses_or_fails_cleanly(entries):
     # pair rejects it with a ConfigError (exit 64)
     for eps in cfg.testfn_eps:
         try:
-            _, le = _window_radius(eps, cfg.L_fixed)
+            _, le = _window_radius(eps, cfg.L_fixed, ())
         except ConfigError:
             continue
         assert math.isfinite(le) and le * le > 0.0

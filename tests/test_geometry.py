@@ -11,6 +11,7 @@ from todalab.geometry import (
     make_flat_torus,
     metric_expansion_at,
 )
+from todalab import spectral
 from todalab.spectral import ScalarField, TorusGrid, eval_at, eval_gradient_at
 from torus_integrals import integrate, integrate_values
 
@@ -32,6 +33,18 @@ def test_flat_torus():
     assert integrate(ScalarField.constant(m.grid, 1.0), m) == 1.0
     # curvature condition: max K = 0 < 2 pi
     assert float(np.max(m.curvature.values)) < TWO_PI
+
+
+def test_curvature_computed_on_first_read(monkeypatch):
+    # only a read of Metric.curvature pays for its dealiased product
+    calls = []
+    product = spectral.product_dealiased
+    monkeypatch.setattr(spectral, "product_dealiased",
+                        lambda f, g: calls.append(1) or product(f, g))
+    m = cos_cos_metric(32)
+    assert calls == []
+    k = m.curvature
+    assert m.curvature is k and len(calls) == 1
 
 
 def test_flat_torus_bad_n():

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -8,9 +10,9 @@ from todalab import testfn
 from todalab.bubble import lower_bound_case1, lower_bound_case2, case2_closing_constant
 from todalab.errors import AccuracyError, ConfigError, GeometryError, SolverError
 from todalab.functional import SolverOptions
-from todalab.geometry import make_flat_torus
+from todalab.geometry import make_conformal_metric, make_flat_torus
 from todalab.greens import extract_expansions, green_pair_case1, green_pair_case2
-from todalab.spectral import ScalarField, dirichlet_form
+from todalab.spectral import ScalarField, TorusGrid, dirichlet_form
 from todalab.testfn import (
     _Phi0Evaluator,
     _StackEval,
@@ -42,6 +44,43 @@ def brute_force_value(tf):
     logs = math.log(integrate(ScalarField(metric.grid, np.exp(f1.values)), metric)) \
         + math.log(integrate(ScalarField(metric.grid, np.exp(f2.values)), metric))
     return quad + FOUR_PI * means - FOUR_PI * logs
+
+
+def cosine_metric(n, a):
+    """The cosine:a metric, e^phi with phi = a cos 2 pi x cos 2 pi y
+    shifted to unit area."""
+    grid = TorusGrid(n)
+    X, Y = grid.mesh()
+    return make_conformal_metric(ScalarField(
+        grid, a * np.cos(2 * math.pi * X) * np.cos(2 * math.pi * Y)))
+
+
+def make_pair(metric, *poles):
+    """The two-pole pair at two poles, the one-pole pair at one; with
+    expansions."""
+    if len(poles) == 2:
+        pair = green_pair_case1(*poles, metric)
+    else:
+        pair = green_pair_case2(np.asarray(poles[0], dtype=float), metric)
+    extract_expansions(pair)
+    return pair
+
+
+# the curved pairs: two poles at the maxima of e^phi on cosine:0.5, and
+# one pole off every symmetry line on cosine:0.1
+@pytest.fixture(scope="module")
+def curved_two_128():
+    return make_pair(cosine_metric(128, 0.5), (0.0, 0.0), (0.5, 0.5))
+
+
+@pytest.fixture(scope="module")
+def curved_two_256():
+    return make_pair(cosine_metric(256, 0.5), (0.0, 0.0), (0.5, 0.5))
+
+
+@pytest.fixture(scope="module")
+def curved_one_256():
+    return make_pair(cosine_metric(256, 0.1), (0.3, 0.6))
 
 
 def test_coupling_identity():
@@ -138,6 +177,92 @@ def test_value_independent_of_stitch_radius(pair1_128):
     v2 = evaluate_phi0(tf, stitch=2.0)
     v3 = evaluate_phi0(tf, stitch=3.0)
     assert abs(v2 - v3) < 1e-3 * abs(v2)
+
+
+def test_value_against_grid_quadrature_curved_case1(curved_two_256):
+    # without the (w - 1) part of the stitch discs' log integrals the
+    # evaluator read -8.2179 against the oracle's -6.3509
+    tf = build_test_pair(curved_two_256, 0.02, 5.0)
+    fast = evaluate_phi0(tf)
+    brute = brute_force_value(tf)
+    assert abs(fast - brute) < 1e-3 * abs(brute)
+
+
+def test_value_against_grid_quadrature_curved_case2(curved_one_256):
+    # ... and 1.8124 against 1.8679 on the one-pole pair
+    assert curved_one_256.descent.converged
+    tf = build_test_pair(curved_one_256, 0.02, 5.0)
+    fast = evaluate_phi0(tf)
+    brute = brute_force_value(tf)
+    assert abs(fast - brute) < 1e-3 * abs(brute)
+
+
+@pytest.mark.parametrize("stitch", [3.0, 4.0])
+def test_value_independent_of_stitch_radius_curved(curved_two_128, stitch):
+    # the stitch factor is bookkeeping, so phi0 on cosine:0.5 must not
+    # see it; without the stitch discs' (w - 1) log part stitch 2, 3 and
+    # 4 read -8.2179, -8.7729 and -8.6293
+    tf = build_test_pair(curved_two_128, 0.02, 5.0)
+    v2 = evaluate_phi0(tf, stitch=2.0)
+    v = evaluate_phi0(tf, stitch=stitch)
+    assert abs(v2 - v) < 1e-3 * abs(v2)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5], ids=["flat", "cosine:0.5"])
+@pytest.mark.parametrize("poles", [((0.25, 0.25), (0.75, 0.75)),
+                                   ((0.3, 0.6),)],
+                         ids=["two-pole", "one-pole"])
+@pytest.mark.parametrize("eps, L", [(0.02, 5.0), (1e-3, None)])
+def test_builder_matches_per_case_formulas(a, poles, eps, L):
+    # the builder reads every branch from the log coefficients; the
+    # oracle is the two per-case constructions written out, to the bit
+    metric = make_flat_torus(64) if a == 0.0 else cosine_metric(64, a)
+    pair = make_pair(metric, *poles)
+    tf = build_test_pair(pair, eps, L)
+    le = tf.L * eps
+    l1p = math.log1p(math.pi * tf.L * tf.L)
+    A = {key: e.A for key, e in pair.expansions.items()}
+    if len(poles) == 2:
+        half, disc, outer = {}, {}, {}
+        for k, own in ((1, 0), (2, 1)):
+            other = 1 - own
+            outer[k] = 4.0 * math.log(le) - 2.0 * l1p - A[(k, own)]
+            half[(k, own)], disc[(k, own)] = False, 0.0
+            half[(k, other)] = True
+            disc[(k, other)] = (6.0 * math.log(le) - 2.0 * l1p
+                                + A[(k, other)] - A[(k, own)])
+    else:
+        half = {(1, 0): False, (2, 0): True}
+        disc = {(1, 0): 0.0, (2, 0): 2.0 * math.log(le) + A[(2, 0)]}
+        outer = {1: 4.0 * math.log(le) - 2.0 * l1p - A[(1, 0)], 2: 0.0}
+    assert tf.disc_const == disc
+    assert tf.outer_const == outer
+    assert {key: tf.half(*key) for key in half} == half
+    assert half == {key: e.a > 0.0 for key, e in pair.expansions.items()}
+
+
+# the functions and classes of the phi0 path: the test pair and its
+# evaluation, which read every branch from the Green pair's data
+_PHI0_PATH = ("TestFunctionPair", "_window_radius", "_own_poles",
+              "build_test_pair", "field_on_grid", "_StackEval",
+              "_Phi0Evaluator", "evaluate_phi0", "phi0_breakdown",
+              "phi0_along")
+
+
+def _case_tag_lines(node):
+    return [n.lineno for n in ast.walk(node)
+            if (isinstance(n, ast.Attribute) and n.attr == "case_tag")
+            or (isinstance(n, ast.Name) and n.id == "case_tag")
+            or (isinstance(n, ast.Constant) and n.value == "case_tag")]
+
+
+def test_phi0_path_reads_no_case_tag():
+    tree = ast.parse(pathlib.Path(testfn.__file__).read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert _case_tag_lines(defs["deficit_data"])    # the guard sees its uses
+    found = {name: _case_tag_lines(defs[name]) for name in _PHI0_PATH}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_gap_independent_of_stitch_radius_at_small_eps(pair1_128):
