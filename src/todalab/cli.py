@@ -420,8 +420,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 # --- entry point ------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose argument errors raise ConfigError, so that a bad
+    command line exits 64 with one line like any other bad input."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="todalab",
         description="Toda-energy laboratory: verification, minimization, "
                     "Green data, test-function energetics, blow-up sweeps.")
@@ -439,8 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = parse_config(args.config) if args.config else RunConfig({})
         if args.out:
             cfg.entries["output.dir"] = args.out

@@ -21,18 +21,17 @@ Green solve in greens, minimize one family of functionals,
 
 and one class, CoupledEnergy, gives run_descent its energy, gradient,
 Hessian-vector product, projection, stopping norm and ceiling.  The
-minimizer is truncated Newton-CG: each step solves H p = -g by CG with
-the (I - Delta_0)^{-1} preconditioner, exits on negative curvature, and is
-accepted by an Armijo test that tries the full step first.  The energy in
-that test is read as E(u) + [E(v) - E(u)] around the Newton iterate u, so
-it carries no cancellation.  Every iteration renormalizes (harmless by
-shift invariance); run_descent keeps a blow-up ceiling, stagnation
-detection and a nonincreasing energy trace.
+minimizer is truncated Newton-CG: each step solves H p = -g by CG on
+modes with the (I - Delta_0)^{-1} preconditioner, exits on negative
+curvature, and is accepted by an Armijo test that tries the full step
+first.  The energy in that test is read as E(u) + [E(v) - E(u)] around
+the Newton iterate u, so it carries no cancellation.  Every iteration
+renormalizes (harmless by shift invariance); run_descent keeps a blow-up
+ceiling, stagnation detection and a nonincreasing energy trace.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -235,11 +234,6 @@ def el_residual(u1: ScalarField, u2: ScalarField, eps: float,
     return out
 
 
-def _precondition(g: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Apply (I - Delta_0)^{-1} in mode space."""
-    return spectral.to_values(spectral.to_modes(g) / (1.0 - grid.laplacian))
-
-
 @dataclass
 class RawDescent(_StopFlags):
     """Low-level descent outcome on raw arrays."""
@@ -256,51 +250,51 @@ class RawDescent(_StopFlags):
 # identity plus a compact part, so CG converges fast): the three cosine:0.5
 # starts of perfbench's minimize-curved (seed 1, n = 64) make 676 over 26
 # Newton steps, 26 a step (4 to 38), and the one-pole Green solve 8 a
-# step (48 over 6 steps at n = 64, 128 and 256).
+# step (48 over 6 steps at n = 64, 128 and 256), at two transforms each.
 _CG_RTOL = 1e-10
 _CG_ATOL = 1e-13
 _CG_MAX_ITER = 200
 
 
-def _mean_free(x: np.ndarray) -> np.ndarray:
-    """x minus the mean of each (n, n) field of an (F, n, n) stack."""
-    return x - np.mean(x, axis=(-2, -1), keepdims=True)
-
-
-def _rms(x: np.ndarray) -> float:
-    return math.sqrt(float(np.mean(x * x)))
-
-
 def _newton_direction(grads, hvp, grid: TorusGrid) -> np.ndarray:
-    """Truncated preconditioned CG for H p = -g on mean-free fields.
+    """Truncated preconditioned CG for H p = -g on mean-free fields, run on
+    modes (hvp takes and returns them); returns the direction's values.
 
-    H's null space is the constants, so r and z are made mean-free at
-    every iteration.  The residual target has an absolute floor: a purely
-    relative one sits below round-off once g is small.  On p.Hp <= 0 it
-    stops (Nocedal-Wright, ch. 7) with the iterate so far, or the
-    preconditioned gradient if that happens at once."""
-    b = -np.stack(grads)
-    tol = max(_CG_RTOL * _rms(b), _CG_ATOL)
-    x = np.zeros_like(b)
-    r = _mean_free(b)
-    z = _mean_free(_precondition(r, grid))
-    p, rz = z, float(np.mean(r * z))
+    H's null space is the constants, so the residual's mode [0, 0] is
+    zeroed at every iteration.  The preconditioner is a multiplier and
+    inner products are Parseval sums, so hvp's two transforms are an
+    iteration's only ones.  The residual target has an absolute floor: a
+    purely relative one sits below round-off once g is small.  On
+    p.Hp <= 0 it stops (Nocedal-Wright, ch. 7) with the iterate so far, or
+    the preconditioned gradient if that happens at once."""
+    weights, precond = grid.parseval, 1.0 / (1.0 - grid.laplacian)
+
+    def dot(x, y):
+        return float(np.sum(weights * np.real(x * np.conj(y))))
+
+    r = -spectral.to_modes(np.asarray(grads))
+    tol = max(_CG_RTOL * math.sqrt(dot(r, r)), _CG_ATOL)
+    r[..., 0, 0] = 0.0
+    x = np.zeros_like(r)
+    z = precond * r
+    p, rz = z, dot(r, z)
     for k in range(_CG_MAX_ITER):
         hp = hvp(p)
-        curv = float(np.mean(p * hp))
+        curv = dot(p, hp)
         if curv <= 0.0:
             if k == 0:
                 x = z
             break
         alpha = rz / curv
         x = x + alpha * p
-        r = _mean_free(r - alpha * hp)
-        if _rms(r) <= tol:
+        r = r - alpha * hp
+        r[..., 0, 0] = 0.0
+        if math.sqrt(dot(r, r)) <= tol:
             break
-        z = _mean_free(_precondition(r, grid))
-        rz_next = float(np.mean(r * z))
+        z = precond * r
+        rz_next = dot(r, z)
         p, rz = z + (rz_next / rz) * p, rz_next
-    return _mean_free(x)
+    return spectral.to_values(x)
 
 
 class CoupledEnergy:
@@ -320,7 +314,7 @@ class CoupledEnergy:
                        d_i = e^{u_i} c w / mean(e^{u_i} c w);
       hessian          H h_i = -sum_j a_ij Delta_0 h_j
                                - m (d_i h_i - d_i <d_i, h_i>)
-                       at the state, which becomes the anchor;
+                       at the state, which becomes the anchor, on modes;
       project          u_i - log mean(e^{u_i} c w), which leaves E as it is;
       grad_norm        max |g / w|;
       ceiling          max u.
@@ -398,18 +392,21 @@ class CoupledEnergy:
 
     def hessian(self, state):
         """The Hessian-vector product at the state, a function of an
-        (F, n, n) stack of directions; the state becomes the anchor."""
+        (F, n, n/2 + 1) stack of direction modes that returns modes; the
+        state becomes the anchor."""
         if self._last is None or self._last[0] is not state:
             self.energy_and_grad(state)
         _, energy, um, dens = self._last
         self._anchor = (energy, np.asarray(state, dtype=float), um, dens)
-        return functools.partial(self._apply_hessian, dens)
+        dens_modes = spectral.to_modes(dens)
 
-    def _apply_hessian(self, dens: np.ndarray, h: np.ndarray) -> np.ndarray:
-        lap = spectral.to_values(self.grid.laplacian * spectral.to_modes(h))
-        dh = dens * h
-        return -self._couple(lap) - self.mass * (
-            dh - dens * np.mean(dh, axis=(-2, -1), keepdims=True))
+        def hvp(hm):
+            # the density part by one to_values and one to_modes, with
+            # <d_i, h_i> the mode [0, 0] of d_i h_i
+            dhm = spectral.to_modes(dens * spectral.to_values(hm))
+            return -self._couple(self.grid.laplacian * hm) - self.mass * (
+                dhm - dens_modes * dhm[..., :1, :1])
+        return hvp
 
     def log_normalizer(self, state) -> np.ndarray:
         """log mean(e^{u_i} c w) per field, shape (F, 1, 1)."""
@@ -445,8 +442,8 @@ def run_descent(init, grid: TorusGrid, energy_and_grad, project,
     grad_norm_of(state, grads) -> float used for the stopping test;
     ceiling_of(state) -> float compared against opts.ceiling;
     hessian(state) -> the Hessian-vector product at the state, a function
-    of an (F, n, n) stack of directions.  A CoupledEnergy's methods of
-    these names are such a set.
+    of an (F, n, n/2 + 1) stack of direction modes that returns modes.  A
+    CoupledEnergy's methods of these names are such a set.
 
     Each search direction is a truncated Newton-CG step
     (_newton_direction); the line search tries s = 1 first and halves s

@@ -297,7 +297,8 @@ class _StackEval:
     per radius (SingularField.image_values), so no field value carries
     the ulp(p) / r error of a wrapped difference of points.  A call
     without gradients evaluates only the value rows, a read-only view of
-    every third row of the stack, and the image values.
+    every third row of the stack, and the image values; metric_weight
+    evaluates the metric row alone.
 
     It depends on the pair alone, so one evaluator serves every coupling
     of a fit (phi0_along); it is not kept on the pair, whose retained
@@ -320,6 +321,7 @@ class _StackEval:
         self.stack = np.stack(mats)
         self.stack.flags.writeable = False
         self.value_rows = self.stack[::3]     # G1, G2 (and phi): no gradients
+        self.metric_row = self.stack[-1:] if self.curved else None   # phi
         self.strengths = np.array([g.strengths for g in self.fields])
         self.grid = grid
         self.pair = pair
@@ -347,12 +349,7 @@ class _StackEval:
         midpoint angles each: "G1", "G2", "weight" (and "dG1", "dG2")
         shaped (radii, angles[, 2]), plus the angles' cosines "ct" and
         sines "st"."""
-        p = self.pair.points[i]
-        th = (np.arange(nth) + 0.5) * (2.0 * math.pi / nth)
-        ct, st = np.cos(th), np.sin(th)
-        pts = np.empty((r_nodes.size * nth, 2))
-        pts[:, 0] = (p[0] + np.outer(r_nodes, ct)).ravel()
-        pts[:, 1] = (p[1] + np.outer(r_nodes, st)).ravel()
+        pts, ct, st = self._polar_points(i, r_nodes, nth)
         rows = 3 if gradients else 1        # stack rows per field
         res = spectral.eval_modes_stack_at(
             self.grid, self.stack if gradients else self.value_rows, pts)
@@ -373,6 +370,26 @@ class _StackEval:
         out["weight"] = (np.exp(res[-1]).reshape(sh) if self.curved
                          else np.ones(sh))
         return out
+
+    def metric_weight(self, i: int, r_nodes: np.ndarray,
+                      nth: int) -> np.ndarray:
+        """The weight e^phi of a curved metric alone on polar's nodes,
+        shaped (radii, angles): one off-grid row, no Green field."""
+        pts = self._polar_points(i, r_nodes, nth)[0]
+        res = spectral.eval_modes_stack_at(self.grid, self.metric_row, pts)
+        return np.exp(res[0]).reshape(r_nodes.size, nth)
+
+    def _polar_points(self, i: int, r_nodes: np.ndarray, nth: int) -> tuple:
+        """The nodes on the circles of radii r_nodes around point i, at nth
+        midpoint angles each, as (radii * angles, 2), and the angles'
+        cosines and sines."""
+        p = self.pair.points[i]
+        th = (np.arange(nth) + 0.5) * (2.0 * math.pi / nth)
+        ct, st = np.cos(th), np.sin(th)
+        pts = np.empty((r_nodes.size * nth, 2))
+        pts[:, 0] = (p[0] + np.outer(r_nodes, ct)).ravel()
+        pts[:, 1] = (p[1] + np.outer(r_nodes, st)).ravel()
+        return pts, ct, st
 
 
 def _log_disc_integral(R: float) -> float:
@@ -774,7 +791,7 @@ class _Phi0Evaluator:
             edges.append(edges[-1] / 2.0)
         r_nodes, r_w = _panel_nodes(np.asarray(edges[::-1]), 10)
         nth = 32
-        wgt = self.ev.polar(i, r_nodes, nth, gradients=False)["weight"]
+        wgt = self.ev.metric_weight(i, r_nodes, nth)
         integrand = f(self.scales[i] * r_nodes)[:, None] * (wgt - 1.0)
         th_w = 2.0 * math.pi / nth
         return float(np.sum(integrand * (r_nodes * r_w)[:, None]) * th_w)

@@ -72,6 +72,26 @@ def test_bad_eps_list_exits_64(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["bogus"], ["verify", "--format", "xml"],
+                                  ["solve", "--bogus"]])
+def test_bad_argv_exits_64_with_one_line(capsys, argv):
+    # a bad command line is bad input like a bad config: exit 64 and one
+    # line, not argparse's usage message and its exit 2, the numerical
+    # failure code
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: todalab" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("text", [
     "points = 0.5,abc\n",
     "solver.max_iter = -5\nsolver.grad_tol = nan\n",

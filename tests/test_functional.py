@@ -291,7 +291,7 @@ def _descend_quadratic(grid, b, stiffness):
         lambda state: [u - np.mean(u) for u in state],
         lambda state, grads: float(np.max(np.abs(grads[0]))),
         lambda state: 0.0, SolverOptions(),
-        hessian=lambda state: lambda h: stiffness * minus_lap(h))
+        hessian=lambda state: lambda hm: -stiffness * grid.laplacian * hm)
 
 
 def test_minimize_stagnation_is_flagged():
@@ -399,7 +399,8 @@ def _cosine_metric(n):
 
 
 def _check_hessian(energy):
-    """energy.hessian against central differences of its gradient."""
+    """energy.hessian, which acts on modes, against central differences of
+    its gradient."""
     grid = energy.grid
     fields = energy.coupling.shape[0]
     rng = np.random.default_rng(40)
@@ -413,7 +414,7 @@ def _check_hessian(energy):
         _, up = energy.energy_and_grad(u + t * h)
         _, dn = energy.energy_and_grad(u - t * h)
         fd = (up - dn) / (2 * t)
-        got = hvp(h)
+        got = spectral.to_values(hvp(spectral.to_modes(h)))
         assert np.max(np.abs(got - fd)) < 1e-8 * np.max(np.abs(got))
 
 
@@ -430,6 +431,121 @@ def test_one_pole_hessian_matches_central_differences(n):
     _, _, es = _pole_source(np.array([0.5, 0.5]), metric)
     _check_hessian(CoupledEnergy(metric.grid, ((1.0,),), 8.0 * math.pi,
                                  metric.weight, es))
+
+
+def _values_newton_direction(grads, hvp, grid):
+    """The values-space truncated PCG that _newton_direction replaced, as
+    its reference: (I - Delta_0)^{-1} through a transform pair, np.mean
+    inner products and mean-free projections, an (F, n, n) Hessian."""
+
+    def precondition(g):
+        return spectral.to_values(spectral.to_modes(g) / (1.0 - grid.laplacian))
+
+    def mean_free(x):
+        return x - np.mean(x, axis=(-2, -1), keepdims=True)
+
+    def rms(x):
+        return math.sqrt(float(np.mean(x * x)))
+
+    b = -np.stack(grads)
+    tol = max(functional._CG_RTOL * rms(b), functional._CG_ATOL)
+    x = np.zeros_like(b)
+    r = mean_free(b)
+    z = mean_free(precondition(r))
+    p, rz = z, float(np.mean(r * z))
+    for k in range(functional._CG_MAX_ITER):
+        hp = hvp(p)
+        curv = float(np.mean(p * hp))
+        if curv <= 0.0:
+            if k == 0:
+                x = z
+            break
+        alpha = rz / curv
+        x = x + alpha * p
+        r = mean_free(r - alpha * hp)
+        if rms(r) <= tol:
+            break
+        z = mean_free(precondition(r))
+        rz_next = float(np.mean(r * z))
+        p, rz = z + (rz_next / rz) * p, rz_next
+    return mean_free(x)
+
+
+def _values_hessian(energy, u):
+    """The Hessian-vector product on grid values at u, written out:
+    -sum_j a_ij Delta_0 h_j - m (d_i h_i - d_i mean(d_i h_i))."""
+    dens = energy._log_mean_and_density(u)[1]
+    grid = energy.grid
+
+    def hvp(h):
+        lap = spectral.to_values(grid.laplacian * spectral.to_modes(h))
+        dh = dens * h
+        return -np.einsum("ij,j...->i...", energy.coupling, lap) - energy.mass * (
+            dh - dens * np.mean(dh, axis=(-2, -1), keepdims=True))
+
+    return hvp
+
+
+def _seeded_curved_state():
+    """Phi_eps at eps = 1 on cosine:0.5, n = 64, and a projected seeded
+    smooth start of the kind minimize-curved descends from."""
+    metric = _cosine_metric(64)
+    x, y = metric.grid.mesh()
+    base, pert = np.random.default_rng(20_190_000), np.random.default_rng(1)
+    energy = phi_eps_functional(metric, 1.0)
+    u = energy.project(np.stack([
+        _smooth_start(base, x, y, 1.0) + _smooth_start(pert, x, y, 0.1)
+        for _ in range(2)]))
+    return energy, u
+
+
+def _one_pole_start(n):
+    """F(v) of greens.green_pair_case2 at a pole (0.5, 0.5) on the flat
+    torus, and its start v = 0."""
+    from todalab.greens import _pole_source
+
+    metric = make_flat_torus(n)
+    _, _, es = _pole_source(np.array([0.5, 0.5]), metric)
+    energy = CoupledEnergy(metric.grid, ((1.0,),), 8.0 * math.pi,
+                           metric.weight, es)
+    return energy, energy.project(np.zeros((1, n, n)))
+
+
+@pytest.mark.parametrize("case", ["curved", "one_pole"])
+def test_mode_space_direction_matches_values_space_cg(case):
+    # the mode-space CG runs the same iteration as the values-space one,
+    # so the two directions agree to round-off, far inside 1e-10
+    energy, u = _seeded_curved_state() if case == "curved" else _one_pole_start(64)
+    _, grads = energy.energy_and_grad(u)
+    got = functional._newton_direction(grads, energy.hessian(u), energy.grid)
+    ref = _values_newton_direction(grads, _values_hessian(energy, u),
+                                   energy.grid)
+    assert got.shape == ref.shape == u.shape
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert np.max(np.abs(np.mean(got, axis=(-2, -1)))) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_cg_iteration_makes_two_transforms(monkeypatch):
+    # one to_values and one to_modes per Hessian product, which CG makes
+    # once an iteration, plus the gradient's to_modes and the direction's
+    # to_values once a Newton step
+    energy, u = _seeded_curved_state()
+    _, grads = energy.energy_and_grad(u)
+    hvp = energy.hessian(u)
+    calls = {"transforms": 0, "hvp": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("to_modes", "to_values"):
+        monkeypatch.setattr(spectral, name,
+                            counted(getattr(spectral, name), "transforms"))
+    functional._newton_direction(grads, counted(hvp, "hvp"), energy.grid)
+    assert calls["hvp"] >= 4
+    assert calls["transforms"] == 2 * calls["hvp"] + 2
 
 
 def _smooth_start(rng, x, y, scale):

@@ -425,3 +425,25 @@ def test_stack_eval_memory_peak():
         tracemalloc.stop()
     assert out["dG2"].shape == (144, 96, 2)
     assert peak < 6.0e6
+
+
+def test_metric_weight_is_the_polar_weight_alone(curved_two_128, monkeypatch):
+    # the (w - 1) disc integrals read the metric row alone: the same
+    # weight as polar's, from one off-grid row and no image sum
+    ev = _StackEval(curved_two_128)
+    r_nodes = np.geomspace(1e-9, 0.05, 40)
+    ref = ev.polar(1, r_nodes, 32, gradients=False)["weight"]
+    seen = []
+    real = testfn.spectral.eval_modes_stack_at
+
+    def rows_seen(grid, stack, pts):
+        seen.append(stack.shape[0])
+        return real(grid, stack, pts)
+
+    monkeypatch.setattr(testfn.spectral, "eval_modes_stack_at", rows_seen)
+    monkeypatch.setattr(type(curved_two_128.G1), "image_values",
+                        lambda *args: pytest.fail("image sum evaluated"))
+    got = ev.metric_weight(1, r_nodes, 32)
+    assert seen == [1]
+    assert got.shape == ref.shape == (40, 32)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(ref)
