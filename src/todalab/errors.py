@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: configuration problems exit with 64,
+The CLI maps these onto exit codes: bad input (ConfigError, DataError,
+GeometryError, GridMismatchError, ResolutionError) exits with 64,
 numerical failures (solver divergence, unmet accuracy targets) with 2.
 """
 

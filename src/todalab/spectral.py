@@ -32,7 +32,6 @@ per grid and is read-only.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -320,7 +319,6 @@ _ES_BETA = 2.30 * _ES_WIDTH
 # doubles (1.6 MB for the six-field stack), which sets the memory peak
 # of a phi0 evaluation
 _EVAL_CHUNK = 128
-_PREPARED: dict = {}               # id(modes) -> (weakref, oversampled grid)
 
 
 def _es_kernel(z: np.ndarray) -> np.ndarray:
@@ -374,19 +372,6 @@ def _oversampled(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prepared(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
-    """Oversampled grid of a mode array; a read-only array is taken to be
-    immutable, so its grid is built once and kept while the array lives."""
-    if modes.flags.writeable:
-        return _oversampled(grid, modes)
-    key = id(modes)
-    hit = _PREPARED.get(key)
-    if hit is None or hit[0]() is not modes:
-        ref = weakref.ref(modes, lambda _: _PREPARED.pop(key, None))
-        hit = _PREPARED[key] = (ref, _oversampled(grid, modes))
-    return hit[1]
-
-
 def _contract(fine: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Kernel sums of an oversampled grid at the points; (F, m) real."""
     w = _ES_WIDTH
@@ -427,26 +412,35 @@ def eval_modes_at(grid: TorusGrid, modes: np.ndarray,
 
 
 def eval_modes_stack_at(grid: TorusGrid, stack: np.ndarray,
-                        points: np.ndarray) -> np.ndarray:
+                        points: np.ndarray,
+                        fine: np.ndarray | None = None) -> np.ndarray:
     """Several weighted mode sums (eval_modes_at) at the same points,
     shape (F, m).
 
     stack: (F, n, n/2 + 1) modes.  Agrees with the direct sum to round-off
-    (see above).  The cost is one 2n x 2n inverse real FFT per field, made
-    once for a read-only stack, plus O(F W^2) per point.
+    (see above).  The cost is one 2n x 2n inverse real FFT per field, plus
+    O(F W^2) per point; a caller that reuses a stack passes its grid,
+    fine = _oversampled(grid, stack), and this module keeps nothing.
     """
-    return _evaluate(grid, stack, points)
+    return _evaluate(grid, stack, points, fine)
 
 
-def _evaluate(grid: TorusGrid, modes: np.ndarray,
-              points: np.ndarray) -> np.ndarray:
+def _evaluate(grid: TorusGrid, modes: np.ndarray, points: np.ndarray,
+              fine: np.ndarray | None = None) -> np.ndarray:
     """(F, m) values of (n, n/2 + 1) (F = 1) or (F, n, n/2 + 1) modes."""
     modes = np.asarray(modes)
     if modes.ndim not in (2, 3) or modes.shape[-2:] != grid.mode_shape:
         raise GridMismatchError(
             f"modes shape {modes.shape} does not match grid n={grid.n}")
+    size = 2 * grid.n + _ES_WIDTH - 1
+    fields = len(modes) if modes.ndim == 3 else 1
+    if fine is None:
+        fine = _oversampled(grid, modes)
+    elif fine.shape != (size, size, fields):
+        raise GridMismatchError(f"oversampled grid {fine.shape} does not "
+                                f"belong to modes {modes.shape}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _contract(_prepared(grid, modes), points)
+    return _contract(fine, points)
 
 
 def eval_at(f: ScalarField, points: np.ndarray) -> np.ndarray:

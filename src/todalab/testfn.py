@@ -290,15 +290,15 @@ def _panel_nodes(edges: np.ndarray, order: int):
 class _StackEval:
     """Batched exact evaluation of a pair's two Green's fields (+metric
     exponent) on the polar nodes around one of its points: one off-grid
-    pass for all mode arrays, whose oversampled grid is built once per
-    evaluator (the stack is read-only), and one image pass per pole for
-    both fields' values and gradients (a GreenPair's fields share their
+    pass for the mode arrays and one image pass per pole for both
+    fields' values and gradients (a GreenPair's fields share their
     poles).  The centre pole's nearest image comes in polar form, once
     per radius (SingularField.image_values), so no field value carries
-    the ulp(p) / r error of a wrapped difference of points.  A call
-    without gradients evaluates only the value rows, a read-only view of
-    every third row of the stack, and the image values; metric_weight
-    evaluates the metric row alone.
+    the ulp(p) / r error of a wrapped difference of points.  The stack
+    is [phi (curved only), G1, G2, dxG1, dyG1, dxG2, dyG2], so a call
+    reads a leading block of rows (metric weight one, values two or
+    three, the full call all), whose oversampled grid is built on first
+    use and kept here; the stack is read-only, as the grids come from it.
 
     It depends on the pair alone, so one evaluator serves every coupling
     of a fit (phi0_along); it is not kept on the pair, whose retained
@@ -308,23 +308,17 @@ class _StackEval:
 
     def __init__(self, pair: GreenPair):
         metric = pair.metric
-        grid = metric.grid
-        ikx, iky = grid.ik
-        mats = []
+        self.grid = grid = metric.grid
         self.fields = (pair.G1, pair.G2)
-        for g in self.fields:
-            b = g.band.modes
-            mats += [b, b * ikx, b * iky]
         self.curved = not metric.is_flat
-        if self.curved:
-            mats.append(metric.phi.modes)
-        self.stack = np.stack(mats)
+        bands = [g.band.modes for g in self.fields]
+        self.stack = np.stack(([metric.phi.modes] if self.curved else [])
+                              + bands + [b * ik for b in bands
+                                         for ik in grid.ik])
         self.stack.flags.writeable = False
-        self.value_rows = self.stack[::3]     # G1, G2 (and phi): no gradients
-        self.metric_row = self.stack[-1:] if self.curved else None   # phi
         self.strengths = np.array([g.strengths for g in self.fields])
-        self.grid = grid
         self.pair = pair
+        self._fine = {}                 # row count -> oversampled grid
         self._grid_values = {}
         self._exp_g2_integrals = {}
 
@@ -350,9 +344,8 @@ class _StackEval:
         shaped (radii, angles[, 2]), plus the angles' cosines "ct" and
         sines "st"."""
         pts, ct, st = self._polar_points(i, r_nodes, nth)
-        rows = 3 if gradients else 1        # stack rows per field
-        res = spectral.eval_modes_stack_at(
-            self.grid, self.stack if gradients else self.value_rows, pts)
+        g0 = int(self.curved)                   # row of G1
+        res = self._rows(len(self.stack) if gradients else g0 + 2, pts)
         g1 = self.fields[0]
         polar = (i, r_nodes, ct, st)
         if gradients:
@@ -363,11 +356,11 @@ class _StackEval:
         sh = (r_nodes.size, nth)
         out = {"ct": ct, "st": st}
         for j, (k, g) in enumerate(zip((1, 2), self.fields)):
-            out[f"G{k}"] = (res[rows * j] + g.const + images[j]).reshape(sh)
+            out[f"G{k}"] = (res[g0 + j] + g.const + images[j]).reshape(sh)
             if gradients:
-                grad = np.stack([res[3 * j + 1], res[3 * j + 2]], axis=1)
+                grad = res[g0 + 2 + 2 * j:g0 + 4 + 2 * j].T
                 out[f"dG{k}"] = (grad + image_grads[j]).reshape(sh + (2,))
-        out["weight"] = (np.exp(res[-1]).reshape(sh) if self.curved
+        out["weight"] = (np.exp(res[0]).reshape(sh) if self.curved
                          else np.ones(sh))
         return out
 
@@ -375,9 +368,16 @@ class _StackEval:
                       nth: int) -> np.ndarray:
         """The weight e^phi of a curved metric alone on polar's nodes,
         shaped (radii, angles): one off-grid row, no Green field."""
-        pts = self._polar_points(i, r_nodes, nth)[0]
-        res = spectral.eval_modes_stack_at(self.grid, self.metric_row, pts)
+        res = self._rows(1, self._polar_points(i, r_nodes, nth)[0])
         return np.exp(res[0]).reshape(r_nodes.size, nth)
+
+    def _rows(self, k: int, pts: np.ndarray) -> np.ndarray:
+        """The stack's first k rows at pts, (k, points), from their
+        oversampled grid, built on the first call with k."""
+        if k not in self._fine:
+            self._fine[k] = spectral._oversampled(self.grid, self.stack[:k])
+        return spectral.eval_modes_stack_at(self.grid, self.stack[:k], pts,
+                                            fine=self._fine[k])
 
     def _polar_points(self, i: int, r_nodes: np.ndarray, nth: int) -> tuple:
         """The nodes on the circles of radii r_nodes around point i, at nth

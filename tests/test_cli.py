@@ -108,19 +108,30 @@ def test_help_exits_0(capsys):
     "solver.ceiling = -1\n",
     "solver.ceiling = 0\n",
     "metric.kind = cosine:800\n",
+    "metric.kind = file=TMPDIR/count.txt\n",
+    "metric.kind = file=TMPDIR/abc.txt\n",
+    "metric.kind = file=TMPDIR/empty.txt\n",
+    "points = 0.1,0.1;0.2,0.1\n",
+    "masses = 1,1\n",
 ])
 def test_bad_values_exit_64_with_one_line(tmp_path, capsys, text):
+    # malformed metric files: a wrong value count, a non-number, no data
+    (tmp_path / "count.txt").write_text("64\n1 2 3\n")
+    (tmp_path / "abc.txt").write_text("64\nabc\n")
+    (tmp_path / "empty.txt").write_text("")
     text = text.replace("TMPDIR", str(tmp_path))     # a directory
+    # points are read by green (two closer than 16h cannot be resolved)
+    command = "green" if text.startswith("points") else "solve"
     path = write_config(tmp_path, "grid.n = 64\neps = 0.5\n" + text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["solve", "--config", path, "--out", str(tmp_path)])
+        code = main([command, "--config", path, "--out", str(tmp_path)])
     assert code == 64
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
     assert "Warning" not in err and not caught
-    assert not (tmp_path / "solve.json").exists()
+    assert not (tmp_path / f"{command}.json").exists()
 
 
 @pytest.mark.parametrize("coupling, tail", [
@@ -335,7 +346,8 @@ def test_solve_supercritical_masses_warn(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 64
     assert "masses exceed 4*pi" in err
-    assert "configuration error" in err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
 
 
 def test_green_case1(tmp_path, capsys):
@@ -495,9 +507,17 @@ def test_fits_leave_scipy_special_unloaded():
     assert _scipy_modules_after(code) == "[]"
 
 
+def test_verify_loads_no_scipy(tmp_path):
+    # verify's integrals are composite Gauss-Legendre in numpy: no
+    # todalab command needs scipy at run time
+    code = ("from todalab.cli import main\n"
+            f"assert main(['verify', '--out', {str(tmp_path)!r}]) == 0\n")
+    assert _scipy_modules_after(code) == "[]"
+
+
 def _scipy_modules_after(code: str) -> str:
-    """Which of scipy.special and scipy.integrate a fresh interpreter has
-    loaded after running code."""
+    """Which scipy modules a fresh interpreter has loaded after running
+    code."""
     import subprocess
     import sys
 
@@ -505,9 +525,9 @@ def _scipy_modules_after(code: str) -> str:
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(todalab.__file__)))
     code = ("import sys\n" + code
-            + "print(sorted(m for m in ('scipy.special', 'scipy.integrate') "
-              "if m in sys.modules))\n")
+            + "print(sorted(m for m in sys.modules "
+              "if m == 'scipy' or m.startswith('scipy.')))\n")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return out.strip()
+    return out.strip().splitlines()[-1]

@@ -1,5 +1,4 @@
 import ast
-import gc
 import importlib
 import math
 import pathlib
@@ -333,31 +332,52 @@ def test_offgrid_curved_stack_matches_dense_sum():
     assert stack.shape == (7, 128, 65) and not stack.flags.writeable
     pts = offgrid_points(128, np.random.default_rng(1))
     assert_matches_dense(grid, stack, pts)
-    # without gradients only the value rows are evaluated, to the same bits
+    # without gradients only the leading value rows (phi, G1, G2) are
+    # evaluated, from their own oversampled grid, to the same bits
     r_nodes = np.geomspace(1e-6, 0.3, 40)
     full, plain = ev.polar(1, r_nodes, 48), ev.polar(1, r_nodes, 48, False)
-    assert ev.value_rows.shape == (3, 128, 65)
-    assert not ev.value_rows.flags.writeable
+    assert sorted(ev._fine) == [3, 7]
     assert set(plain) == {"G1", "G2", "weight", "ct", "st"}
     for key, vals in plain.items():
         assert np.array_equal(vals, full[key])
 
 
-def test_offgrid_grid_kept_while_read_only_modes_live():
-    grid = TorusGrid(32)
-    rng = np.random.default_rng(2)
-    pts = offgrid_points(32, rng)
-    modes = white_noise_modes(32, 2, rng)
-    first = eval_modes_stack_at(grid, modes, pts)
-    assert id(modes) not in spectral._PREPARED     # writeable: not kept
-    modes.flags.writeable = False
-    key = id(modes)
-    assert np.array_equal(eval_modes_stack_at(grid, modes, pts), first)
-    assert key in spectral._PREPARED
-    assert np.array_equal(eval_modes_stack_at(grid, modes, pts), first)
-    del modes
-    gc.collect()
-    assert key not in spectral._PREPARED
+@pytest.mark.parametrize("amp, blocks", [(0.0, [2, 6]), (0.5, [1, 3, 7])],
+                         ids=["flat", "cosine:0.5"])
+def test_phi0_along_builds_each_row_block_grid_once(monkeypatch, amp, blocks):
+    # the field evaluator reads leading blocks of its stack (metric row,
+    # value rows, all rows) and builds each block's oversampled grid once
+    # per fit: the first row builds them all, the later rows none (a
+    # one-point evaluation of the metric's phi, 2-D modes, is not one)
+    from todalab import testfn
+    from todalab.geometry import make_conformal_metric
+    from todalab.greens import extract_expansions, green_pair_case1
+
+    grid = TorusGrid(64)
+    X, Y = grid.mesh()
+    metric = make_conformal_metric(ScalarField(
+        grid, amp * np.cos(TWO_PI * X) * np.cos(TWO_PI * Y)))
+    pair = green_pair_case1((0.25, 0.25), (0.75, 0.75), metric)
+    extract_expansions(pair)
+    built, per_row = [], []
+    real_grid, real_row = spectral._oversampled, testfn.evaluate_phi0
+
+    def counted_grid(grid, modes):
+        if modes.ndim == 3:
+            built.append(len(modes))
+        return real_grid(grid, modes)
+
+    def counted_row(*args, **kwargs):
+        value = real_row(*args, **kwargs)
+        per_row.append(len(built))
+        return value
+
+    monkeypatch.setattr(spectral, "_oversampled", counted_grid)
+    monkeypatch.setattr(testfn, "evaluate_phi0", counted_row)
+    rows = testfn.phi0_along(pair, (1e-2, 1e-3, 1e-4), None)
+    assert len(rows) == 3
+    assert per_row == [len(blocks)] * 3
+    assert sorted(built) == blocks
 
 
 def test_offgrid_nyquist_modes():
@@ -502,6 +522,17 @@ def test_offgrid_rejects_wrong_grid():
     with pytest.raises(GridMismatchError):
         eval_modes_stack_at(TorusGrid(32), np.zeros((2, 64, 33)),
                             np.zeros((1, 2)))
+    # an oversampled grid passed in must be the stack's own
+    grid = TorusGrid(32)
+    modes = white_noise_modes(32, 2, np.random.default_rng(3))
+    pts = offgrid_points(32, np.random.default_rng(3))
+    fine = spectral._oversampled(grid, modes)
+    assert np.array_equal(eval_modes_stack_at(grid, modes, pts, fine=fine),
+                          eval_modes_stack_at(grid, modes, pts))
+    for wrong in (spectral._oversampled(grid, modes[:1]),
+                  spectral._oversampled(TorusGrid(16), modes[:, ::2, :9])):
+        with pytest.raises(GridMismatchError):
+            eval_modes_stack_at(grid, modes, pts, fine=wrong)
 
 
 def test_full_layout_modes_rejected():

@@ -436,9 +436,10 @@ def test_metric_weight_is_the_polar_weight_alone(curved_two_128, monkeypatch):
     seen = []
     real = testfn.spectral.eval_modes_stack_at
 
-    def rows_seen(grid, stack, pts):
+    def rows_seen(grid, stack, pts, fine):
         seen.append(stack.shape[0])
-        return real(grid, stack, pts)
+        assert fine.shape[2] == stack.shape[0]
+        return real(grid, stack, pts, fine=fine)
 
     monkeypatch.setattr(testfn.spectral, "eval_modes_stack_at", rows_seen)
     monkeypatch.setattr(type(curved_two_128.G1), "image_values",
