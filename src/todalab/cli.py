@@ -178,15 +178,18 @@ def _finite(text: str, what: str) -> float:
 
 def parse_config(path) -> RunConfig:
     entries = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected key=value")
+                key, value = line.split("=", 1)
+                entries[key.strip()] = value.strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     return RunConfig(entries)
 
 
@@ -197,7 +200,6 @@ def _report_header(cfg: RunConfig) -> dict:
 
 def _write_report(cfg: RunConfig, name: str, payload: dict,
                   rows_key: str | None = None) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.fmt == "json":
         path = os.path.join(cfg.out_dir, f"{name}.json")
         with open(path, "w") as fh:
@@ -324,7 +326,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     payload = {**_report_header(cfg), "eps": eps,
                "grad_tol": cfg.solver.grad_tol, **report.to_record()}
     path = _write_report(cfg, "solve", payload)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     for i, f in enumerate(final.u, start=1):
         save_field(os.path.join(cfg.out_dir, f"u{i}.txt"), f)
     print(f"solve: {report.stop_reason} after {report.iterations} iterations; "
@@ -353,11 +354,12 @@ def cmd_green(cfg: RunConfig) -> int:
     extract_expansions(pair)
     rows = []
     for (k, i), e in sorted(pair.expansions.items()):
-        rows.append({"field": k, "point_index": i, "x": e.point[0],
-                     "y": e.point[1], "a": e.a, "A": e.A, "lambda": e.lam,
+        c = pair.charts[i]
+        rows.append({"field": k, "point_index": i, "x": c.center[0],
+                     "y": c.center[1], "a": e.a, "A": e.A, "lambda": e.lam,
                      "mu": e.mu, "alpha": e.alpha, "beta": e.beta,
                      "gamma": e.gamma, "alpha_plus_beta": e.alpha + e.beta,
-                     "scale": e.scale, "fit_residual": e.fit_residual})
+                     "scale": c.scale, "fit_residual": e.fit_residual})
     payload = {**_report_header(cfg), "case": pair.case_tag,
                "expansions": rows}
     if pair.case_tag == "two":
@@ -378,7 +380,6 @@ def cmd_green(cfg: RunConfig) -> int:
 def cmd_testfn(cfg: RunConfig) -> int:
     metric = cfg.metric()
     pair = _build_pair(cfg, metric)
-    extract_expansions(pair)
     if cfg.L_mode == "auto":
         if pair.case_tag == "one":
             rep = testfn.asymptotic_fit_case1(pair, metric, cfg.testfn_eps)
@@ -460,6 +461,10 @@ def main(argv=None) -> int:
         if args.format:
             cfg.entries["output.format"] = args.format
             cfg.fmt = args.format
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory: {exc}") from None
         if args.command == "verify":
             return cmd_verify(cfg, args.perturb)
         if args.command == "solve":
@@ -469,8 +474,8 @@ def main(argv=None) -> int:
         if args.command == "testfn":
             return cmd_testfn(cfg)
         return cmd_sweep(cfg)
-    except (ConfigError, DataError, FileNotFoundError, GeometryError,
-            GridMismatchError, ResolutionError) as exc:
+    except (ConfigError, DataError, GeometryError, GridMismatchError,
+            ResolutionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TodalabError as exc:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import spectral
+from . import geometry, spectral
 from .errors import ConfigError, ResolutionError
 from .functional import (CoupledEnergy, DescentReport, SolverOptions,
                          run_descent)
@@ -467,11 +467,10 @@ class LocalExpansion:
     """Quadratic data of a Green's function's regular part at a singular point.
 
     G = a log r + A + lambda x + mu y + alpha x^2 + beta y^2 + gamma xy + O(r^3)
-    in locally normalized coordinates (rescaled by e^{phi(p)/2}; `scale`
-    records the factor).  The off-source equation forces alpha + beta = 2 pi.
+    in the coordinates of the point's chart (GreenPair.charts), rescaled by
+    e^{phi(p)/2}.  The off-source equation forces alpha + beta = 2 pi.
     """
 
-    point: tuple[float, float]
     a: float
     A: float
     lam: float
@@ -479,13 +478,13 @@ class LocalExpansion:
     alpha: float
     beta: float
     gamma: float
-    scale: float
     fit_residual: float
 
 
 @dataclass
 class GreenPair:
-    """The two coupled Green's functions with their expansion bookkeeping."""
+    """The two coupled Green's functions, their expansions[(k, i)] (field k
+    at point i) and charts[i], point i's metric chart (fitted once)."""
 
     case_tag: str
     points: list[np.ndarray]
@@ -496,6 +495,7 @@ class GreenPair:
     exp_G2_values: np.ndarray | None = None  # case two: grid values of e^{G2}
     descent: DescentReport | None = None
     expansions: dict = dc_field(default_factory=dict)
+    charts: dict = dc_field(default_factory=dict)
 
     @property
     def grid(self) -> TorusGrid:
@@ -614,8 +614,8 @@ def local_expansion(pair: GreenPair, which: int, at) -> LocalExpansion:
     The log term is subtracted analytically and lambda, mu, alpha, beta,
     gamma are least-squares fits on the disc of radius 8h with a full
     degree-3 basis, so the cubic content does not bias them; the cubic
-    coefficients are then discarded.  Coefficients are reported in
-    locally normalized coordinates (see MetricExpansion).
+    coefficients are then discarded.  Coefficients are reported in the
+    point's chart, pair.charts[idx], fitted here on first use.
     """
     grid = pair.grid
     at = np.asarray(at, dtype=float)
@@ -628,6 +628,9 @@ def local_expansion(pair: GreenPair, which: int, at) -> LocalExpansion:
     if idx is None:
         raise ConfigError("expansion point is not one of the pair's points")
     g = pair.field(which)
+    if idx not in pair.charts:
+        pair.charts[idx] = geometry.metric_expansion_at(pair.metric,
+                                                        pair.points[idx])
 
     X, Y = grid.mesh()
     dx = spectral.wrap_offset(X - at[0]).ravel()
@@ -639,25 +642,17 @@ def local_expansion(pair: GreenPair, which: int, at) -> LocalExpansion:
     vals = g.eval_regular(pts, idx)
     A = vals[-1]
     coef, rms = polyfit_disc(dx[mask], dy[mask], vals[:-1], rho_fit)
-    c = _local_scale(pair.metric, at)
+    c = pair.charts[idx].scale
     a = g.log_coefficients[idx]
     lam, mu = coef[1], coef[2]
     al, be, ga = coef[3], coef[4], coef[5]
     exp = LocalExpansion(
-        point=(float(at[0]), float(at[1])), a=a,
-        A=float(A - a * math.log(c)),
+        a=a, A=float(A - a * math.log(c)),
         lam=float(lam / c), mu=float(mu / c),
         alpha=float(al / c ** 2), beta=float(be / c ** 2),
-        gamma=float(ga / c ** 2), scale=float(c), fit_residual=float(rms))
+        gamma=float(ga / c ** 2), fit_residual=float(rms))
     pair.expansions[(which, idx)] = exp
     return exp
-
-
-def _local_scale(metric: Metric, at: np.ndarray) -> float:
-    if metric.is_flat:
-        return 1.0
-    phi_p = float(spectral.eval_at(metric.phi, at[None, :])[0])
-    return math.exp(phi_p / 2.0)
 
 
 def extract_expansions(pair: GreenPair) -> None:

@@ -469,7 +469,8 @@ def save_field(path, field: ScalarField) -> None:
 
 def load_field_values(path) -> np.ndarray:
     """Read the plain-text grid format; returns the (n, n) value array."""
-    with open(path) as fh:
+    # bytes that are not UTF-8 become U+FFFD, which no number parses
+    with open(path, encoding="utf-8", errors="replace") as fh:
         tokens = fh.read().split()
     if not tokens:
         raise DataError(f"empty field file: {path}")
@@ -478,9 +479,9 @@ def load_field_values(path) -> np.ndarray:
         data = np.array([float(t) for t in tokens[1:]], dtype=float)
     except ValueError as exc:
         raise DataError(f"field file {path}: {exc}") from None
-    if data.size != n * n:
-        raise DataError(
-            f"field file {path}: expected {n * n} values, found {data.size}")
+    if n < 1 or data.size != n * n:
+        raise DataError(f"field file {path}: expected a size n >= 1 and n^2 "
+                        f"values, found n = {n} and {data.size} values")
     if not np.all(np.isfinite(data)):
         raise DataError(f"field file {path}: non-finite values")
     return data.reshape(n, n)

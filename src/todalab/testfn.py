@@ -48,6 +48,7 @@ from . import spectral
 from .bubble import (bubble_dirichlet_energy, lower_bound_case1,
                      lower_bound_case2, case2_closing_constant)
 from .errors import AccuracyError, ConfigError, GeometryError, SolverError
+# metric_expansion_at is not called here: perfbench/spans.py patches it here
 from .geometry import Metric, metric_expansion_at
 from .greens import GreenPair, LocalExpansion, extract_expansions
 from .spectral import ScalarField
@@ -99,15 +100,15 @@ def _bubble(rho_over_eps):
 class TestFunctionPair:
     """Piecewise two-field test pair at scale eps with truncation L.
 
-    The Green pair owns the metric, the points and the expansions:
-    pair.expansions[(k, i)] supplies field k's log coefficient a, additive
-    matching data and chart scale at point i, and every branch is read
-    from them, for any layout of poles.  In the disc at point i field k
-    carries the full bubble where a = -4 (its own pole) and minus half a
-    bubble where a = +2 (`half`); `disc_const` is that disc branch's
-    additive constant, and `outer_const[k]` the constant added to G_k
-    outside (zero for a field with no pole of its own, whose outer branch
-    is G_k itself).
+    The Green pair owns the metric, the points, the expansions and the
+    charts: pair.expansions[(k, i)] supplies field k's log coefficient a
+    and additive matching data at point i, pair.charts[i] the chart scale
+    there, and every branch is read from them, for any layout of poles.
+    In the disc at point i field k carries the full bubble where a = -4
+    (its own pole) and minus half a bubble where a = +2 (`half`);
+    `disc_const` is that disc branch's additive constant, and
+    `outer_const[k]` the constant added to G_k outside (zero for a field
+    with no pole of its own, whose outer branch is G_k itself).
     """
 
     pair: GreenPair
@@ -142,7 +143,7 @@ class TestFunctionPair:
         for i, p in enumerate(self.pair.points):
             e = self.pair.expansions[(which, i)]
             d = spectral.wrap_offset(pts - p)
-            z = e.scale * d                # locally normalized displacement
+            z = self.pair.charts[i].scale * d   # normalized displacement
             rho = np.sqrt((z ** 2).sum(axis=1))
             in_disc = rho <= le
             in_band = (rho > le) & (rho < 2.0 * le)
@@ -232,8 +233,7 @@ def build_test_pair(pair: GreenPair, eps: float,
     Field k bubbles at its own pole, outside which it is G_k + 4 log(L eps)
     - 2 log(1 + pi L^2) - A_own (G_k alone without an own pole), and
     carries minus half a bubble, with disc constant 2 log(L eps) + A +
-    outer_const[k], at every other point.  Each point's chart scale
-    exp(phi(p)/2) is the one its expansions were taken in.
+    outer_const[k], at every other point.
     """
     L, le = _window_radius(eps, L, pair.points)
     _require_expansions(pair)
@@ -403,13 +403,13 @@ def _bubble_area_integral(L: float) -> float:
     return -2.0 * ((1.0 + t) * math.log1p(t) - t)
 
 
-def _tilt_mass(metric: Metric, point, e: LocalExpansion) -> tuple:
-    """(B, -K/2 + B) at a pole: B is the quadratic mass of the field's
-    tilt plus the metric gradient there, K the curvature; -K/2 + B drives
-    the disc exponential corrections and the deficit coefficient."""
-    me = metric_expansion_at(metric, point)
-    b = ((me.b1 + e.lam) ** 2 + (me.b2 + e.mu) ** 2) / 4.0
-    return b, -me.curvature / 2.0 + b
+def _tilt_mass(pair: GreenPair, k: int, i: int) -> tuple:
+    """(B, -K/2 + B) of field k at point i: B is the quadratic mass of its
+    tilt plus the metric gradient, K the curvature, from the point's chart;
+    -K/2 + B drives the disc exponentials and the deficit coefficient."""
+    chart, e = pair.charts[i], pair.expansions[(k, i)]
+    b = ((chart.b1 + e.lam) ** 2 + (chart.b2 + e.mu) ** 2) / 4.0
+    return b, -chart.curvature / 2.0 + b
 
 
 # angles per circle of the point blocks, and the relative agreement at
@@ -433,9 +433,7 @@ class _Phi0Evaluator:
         self.ev = _StackEval(pair) if stack is None else stack
         self.le = tf.L * tf.eps
         self.l1p = tf.log_one_plus_piL2
-        # each point's chart scale exp(phi(p)/2), as in its expansions
-        self.scales = [pair.expansions[(1, i)].scale
-                       for i in range(len(pair.points))]
+        self.scales = [pair.charts[i].scale for i in range(len(pair.points))]
         # chart radii per point: bubble disc, stitch circle, outer cutoff knot
         self.r_disc = [self.le / c for c in self.scales]
         self.r_st = [stitch * self.le / c for c in self.scales]
@@ -651,8 +649,8 @@ class _Phi0Evaluator:
         pieces = self.pieces
         E_L = bubble_dirichlet_energy(L)
         W_L = _bubble_area_integral(L)
-        qmass = {key: _tilt_mass(pair.metric, pair.points[key[1]], e)[1]
-                 for key, e in pair.expansions.items() if not tf.half(*key)}
+        qmass = {key: _tilt_mass(pair, *key)[1]
+                 for key in pair.expansions if not tf.half(*key)}
         npts = len(pair.points)
 
         blocks = [self._point_block(i) for i in range(npts)]
@@ -845,8 +843,7 @@ def deficit_data(pair: GreenPair) -> DeficitData:
     _require_expansions(pair)
     bvals, mvals = {}, {}
     for k, i in ([(1, 0), (2, 1)] if pair.case_tag == "one" else [(1, 0), (2, 0)]):
-        b, qm = _tilt_mass(pair.metric, pair.points[i],
-                           pair.expansions[(k, i)])
+        b, qm = _tilt_mass(pair, k, i)
         bvals[k] = b
         mvals[k] = qm / math.pi
     if pair.case_tag == "one":
@@ -882,7 +879,12 @@ class FitReport:
         return out
 
 
-def _check_eps_list(eps_list) -> list:
+def _check_fit_inputs(pair: GreenPair, metric: Metric, eps_list, case) -> list:
+    """The eps list as floats, after a ConfigError on any bad fit input."""
+    if metric is not pair.metric:
+        raise ConfigError("metric does not match the pair's metric")
+    if pair.case_tag != case:
+        raise ConfigError(f"case {case} fit on a case {pair.case_tag} pair")
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 4:
         raise ConfigError("need at least 4 eps values for a slope fit")
@@ -936,9 +938,7 @@ def asymptotic_fit_case1(pair: GreenPair, metric: Metric,
     """Deficit fit for the two-point pair: remainder over the closing
     constant, regressed as described in _run_fit.  metric must be
     pair.metric."""
-    if metric is not pair.metric:
-        raise ConfigError("metric does not match the pair's metric")
-    eps_list = _check_eps_list(eps_list)
+    eps_list = _check_fit_inputs(pair, metric, eps_list, "one")
     _require_expansions(pair)
     const = lower_bound_case1(pair.expansions[(1, 0)].A,
                               pair.expansions[(2, 1)].A)
@@ -954,9 +954,7 @@ def asymptotic_fit_case2(pair: GreenPair, metric: Metric,
     """Deficit fit for the one-point pair; reports both candidate closing
     constants (they differ in the literature-facing bookkeeping and are
     never merged).  metric must be pair.metric."""
-    if metric is not pair.metric:
-        raise ConfigError("metric does not match the pair's metric")
-    eps_list = _check_eps_list(eps_list)
+    eps_list = _check_fit_inputs(pair, metric, eps_list, "two")
     if pair.descent is not None and not pair.descent.converged:
         raise SolverError(f"one-point pair did not converge "
                           f"({pair.descent.stop_reason})")

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from todalab.cli import _DEFAULTS, RunConfig, main, parse_config
 from todalab.errors import ConfigError
-from todalab.spectral import load_field_values
+from todalab.spectral import (ScalarField, TorusGrid, load_field_values,
+                              save_field)
 from todalab.testfn import DEFAULT_EPS_LIST, _window_radius
 
 
@@ -111,14 +112,19 @@ def test_help_exits_0(capsys):
     "metric.kind = file=TMPDIR/count.txt\n",
     "metric.kind = file=TMPDIR/abc.txt\n",
     "metric.kind = file=TMPDIR/empty.txt\n",
+    "metric.kind = file=TMPDIR/bytes.txt\n",
+    "metric.kind = file=TMPDIR/negative.txt\n",
     "points = 0.1,0.1;0.2,0.1\n",
     "masses = 1,1\n",
 ])
 def test_bad_values_exit_64_with_one_line(tmp_path, capsys, text):
-    # malformed metric files: a wrong value count, a non-number, no data
+    # malformed metric files: a wrong value count, a non-number, no data,
+    # bytes that are not UTF-8 text, a negative size
     (tmp_path / "count.txt").write_text("64\n1 2 3\n")
     (tmp_path / "abc.txt").write_text("64\nabc\n")
     (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "bytes.txt").write_bytes(b"2\n\xff 1 2 3\n")
+    (tmp_path / "negative.txt").write_text("-4\n" + " 0.0" * 16 + "\n")
     text = text.replace("TMPDIR", str(tmp_path))     # a directory
     # points are read by green (two closer than 16h cannot be resolved)
     command = "green" if text.startswith("points") else "solve"
@@ -132,6 +138,27 @@ def test_bad_values_exit_64_with_one_line(tmp_path, capsys, text):
     assert err.count("\n") == 1
     assert "Warning" not in err and not caught
     assert not (tmp_path / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("config, out", [
+    ("cfgdir", "out"), ("bytes.cfg", "out"),
+    ("run.cfg", "afile"), ("run.cfg", "afile/sub")])
+def test_unreadable_config_or_out_exits_64_before_any_work(
+        tmp_path, capsys, monkeypatch, config, out):
+    # a config that is a directory or not UTF-8 text, and an output
+    # directory that cannot be made (an existing file, or a path under
+    # one), are configuration errors found before any work
+    (tmp_path / "cfgdir").mkdir()
+    (tmp_path / "bytes.cfg").write_bytes(b"grid.n = 64\n\xff\xfe\n")
+    (tmp_path / "afile").write_text("")
+    write_config(tmp_path, "grid.n = 64\neps = 0.5\n")
+    monkeypatch.setattr("todalab.cli.minimize_phi_eps",
+                        lambda *args: pytest.fail("the solve ran"))
+    assert main(["solve", "--config", str(tmp_path / config),
+                 "--out", str(tmp_path / out)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("coupling, tail", [
@@ -361,6 +388,22 @@ def test_green_case1(tmp_path, capsys):
     assert [r["a"] for r in rows] == [-4.0, 2.0, 2.0, -4.0]
     assert all(abs(r["alpha_plus_beta"] - 2 * math.pi) < 5e-2 for r in rows)
     assert payload["case"] == "one"
+
+
+def test_green_rough_metric_exits_2_with_one_line(tmp_path, capsys):
+    # phi = 0.5 cos(20 * 2 pi x) varies on a few cells: no quadratic chart
+    # fits it at a pole, so no expansion can be stated in one
+    grid = TorusGrid(64)
+    X, _ = grid.mesh()
+    save_field(str(tmp_path / "rough.txt"),
+               ScalarField(grid, 0.5 * np.cos(40.0 * math.pi * X)))
+    path = write_config(tmp_path, "grid.n = 64\npoints = 0.25,0.25;0.75,0.75\n"
+                        f"metric.kind = file={tmp_path / 'rough.txt'}\n")
+    assert main(["green", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: local fit residual ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "green.json").exists()
 
 
 def test_green_one_point_honours_solver_options(tmp_path, capsys):

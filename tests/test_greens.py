@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from todalab.errors import ConfigError, ResolutionError
-from todalab.geometry import make_flat_torus
+from todalab.geometry import (make_conformal_metric, make_flat_torus,
+                              metric_expansion_at)
 from todalab.greens import (
     LocalExpansion,
     equation_residuals,
@@ -18,7 +19,7 @@ from todalab.greens import (
     residual_sample_points,
 )
 from todalab import spectral
-from todalab.spectral import TorusGrid
+from todalab.spectral import ScalarField, TorusGrid
 from torus_integrals import integrate_values
 
 TWO_PI = 2.0 * math.pi
@@ -171,10 +172,33 @@ def test_local_expansion_argument_validation(pair1_128):
 
 def test_trace_identity_synthetic():
     # for pi |x|^2 plus anything harmonic the quadratic trace is exactly 2 pi
-    e = LocalExpansion(point=(0.0, 0.0), a=0.0, A=1.0, lam=0.3, mu=-0.2,
-                      alpha=math.pi, beta=math.pi, gamma=0.7, scale=1.0,
-                      fit_residual=0.0)
+    e = LocalExpansion(a=0.0, A=1.0, lam=0.3, mu=-0.2, alpha=math.pi,
+                       beta=math.pi, gamma=0.7, fit_residual=0.0)
     assert expansion_trace_residual(e) == 0.0
+
+
+def test_charts_fitted_once_per_pole(monkeypatch):
+    # the expansions evaluate phi off the grid once per pole, for its
+    # chart, and every user reads that chart from pair.charts
+    grid = TorusGrid(64)
+    X, Y = grid.mesh()
+    metric = make_conformal_metric(ScalarField(
+        grid, 0.5 * np.cos(TWO_PI * X) * np.cos(TWO_PI * Y)))
+    pair = green_pair_case1((0.0, 0.0), (0.5, 0.5), metric)
+    calls = []
+    real = spectral.eval_at
+
+    def counted(field, pts):
+        calls.append(field is metric.phi)
+        return real(field, pts)
+
+    monkeypatch.setattr(spectral, "eval_at", counted)
+    extract_expansions(pair)
+    assert calls.count(True) == 2
+    monkeypatch.undo()
+    assert sorted(pair.charts) == [0, 1]
+    for i, p in enumerate(pair.points):
+        assert pair.charts[i] == metric_expansion_at(metric, p)
 
 
 def test_trace_identity_measured(pair1_128):

@@ -347,8 +347,9 @@ def test_offgrid_curved_stack_matches_dense_sum():
 def test_phi0_along_builds_each_row_block_grid_once(monkeypatch, amp, blocks):
     # the field evaluator reads leading blocks of its stack (metric row,
     # value rows, all rows) and builds each block's oversampled grid once
-    # per fit: the first row builds them all, the later rows none (a
-    # one-point evaluation of the metric's phi, 2-D modes, is not one)
+    # per fit: the first row builds them all, the later rows none.  No
+    # row builds any other grid: a one-field grid (2-D modes, counted as
+    # 0), such as a one-point evaluation of phi, would show here
     from todalab import testfn
     from todalab.geometry import make_conformal_metric
     from todalab.greens import extract_expansions, green_pair_case1
@@ -363,8 +364,7 @@ def test_phi0_along_builds_each_row_block_grid_once(monkeypatch, amp, blocks):
     real_grid, real_row = spectral._oversampled, testfn.evaluate_phi0
 
     def counted_grid(grid, modes):
-        if modes.ndim == 3:
-            built.append(len(modes))
+        built.append(len(modes) if modes.ndim == 3 else 0)
         return real_grid(grid, modes)
 
     def counted_row(*args, **kwargs):

@@ -326,6 +326,21 @@ def test_fit_rejects_a_foreign_metric():
     assert one.expansions == {}
 
 
+def test_fit_rejects_the_other_case():
+    # each fit takes its own case's pair and names the case otherwise,
+    # before any work: no expansion is fitted
+    metric = make_flat_torus(64)
+    one = green_pair_case2(np.array([0.5, 0.5]), metric,
+                           SolverOptions(max_iter=2))
+    with pytest.raises(ConfigError, match="case one fit on a case two pair"):
+        asymptotic_fit_case1(one, metric)
+    assert one.expansions == {}
+    two = green_pair_case1((0.25, 0.25), (0.75, 0.75), metric)
+    with pytest.raises(ConfigError, match="case two fit on a case one pair"):
+        asymptotic_fit_case2(two, metric)
+    assert two.expansions == {}
+
+
 def test_shared_field_evaluator(pair1_128):
     # the rows of a fit share one evaluator, to the same bits as a fresh
     # one per row; an evaluator of another pair is rejected
@@ -344,6 +359,28 @@ def test_deficit_targets_flat(pair1_128, pair2_256):
     assert d1.B[1] == pytest.approx(0.0, abs=1e-12)
     d2 = deficit_data(pair2_256)
     assert d2.coeff == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("a, bound", [(0.1, 0.03), (0.5, 0.1)])
+def test_deficit_coefficient_curved_matches_curvature(a, bound):
+    # at the maxima (0, 0) and (1/2, 1/2) of e^phi on cosine:a the metric
+    # has no gradient and the fields no tilt, so the coefficient is
+    # 8 pi - 2 (K(p1) + K(p2)) with K = 4 pi^2 a / e^phi(p) exactly; what
+    # is left is the bias of the charts' curvature fits, which falls as
+    # h^4 (at a = 0.5: 0.0746, 4.77e-3 and 3.0e-4 at n = 64, 128, 256)
+    gaps = []
+    for n in (64, 128):
+        metric = cosine_metric(n, a)
+        pair = make_pair(metric, (0.0, 0.0), (0.5, 0.5))
+        dd = deficit_data(pair)
+        assert max(dd.B.values()) < 1e-25
+        weights = (metric.weight[0, 0], metric.weight[n // 2, n // 2])
+        closed = 8.0 * math.pi - 2.0 * sum(4.0 * math.pi ** 2 * a / w
+                                           for w in weights)
+        gaps.append(abs(dd.coeff - closed))
+    assert gaps[0] < bound
+    assert gaps[1] < bound / 16.0
+    assert gaps[1] < gaps[0] / 10.0
 
 
 def test_eps_list_validation(pair1_128):
