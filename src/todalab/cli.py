@@ -198,6 +198,16 @@ def _report_header(cfg: RunConfig) -> dict:
             "metric_kind": cfg.metric_kind}
 
 
+def _csv_cells(record: dict) -> dict:
+    """A report record as CSV cells: a nested record (the one-point
+    pair's descent) becomes one <key>_<field> column per field."""
+    cells = {}
+    for k, v in record.items():
+        cells.update({f"{k}_{f}": x for f, x in v.items()}
+                     if isinstance(v, dict) else {k: v})
+    return cells
+
+
 def _write_report(cfg: RunConfig, name: str, payload: dict,
                   rows_key: str | None = None) -> str:
     if cfg.fmt == "json":
@@ -207,18 +217,14 @@ def _write_report(cfg: RunConfig, name: str, payload: dict,
             fh.write("\n")
         return path
     path = os.path.join(cfg.out_dir, f"{name}.csv")
-    rows = payload[rows_key] if rows_key else [payload]
     scalar = {k: v for k, v in payload.items() if k != rows_key}
-    keys: list[str] = []
-    for row in rows:
-        for k in {**scalar, **row}:
-            if k not in keys:
-                keys.append(k)
+    rows = [_csv_cells({**scalar, **row})
+            for row in (payload[rows_key] if rows_key else [payload])]
+    keys = list(dict.fromkeys(k for row in rows for k in row))
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=keys, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({**scalar, **row})
+        writer.writerows(rows)
     return path
 
 
@@ -283,7 +289,7 @@ def _verify_checks(cfg: RunConfig, perturb: bool) -> list[dict]:
         for i in (0, 1):
             e = pair.expansions[(k, i)]
             add(f"quadratic_trace_G{k}_p{i + 1}", e.alpha + e.beta,
-                2.0 * math.pi, 5e-2, kind="abs")
+                2.0 * math.pi, 1e-6, kind="abs")
     return checks
 
 

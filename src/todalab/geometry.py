@@ -10,13 +10,14 @@ Delta_g = e^{-phi} Delta_0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import spectral
-from .errors import AccuracyError, DataError, GeometryError
+from .errors import DataError, GeometryError
 from .spectral import ScalarField, TorusGrid
 
 __all__ = [
@@ -55,27 +56,21 @@ class Metric:
 
 @dataclass(frozen=True)
 class MetricExpansion:
-    """Quadratic Taylor data of phi at a point, in locally normalized coordinates.
+    """A point's metric chart: phi's value, gradient and curvature there.
 
-    Coordinates are rescaled by e^{phi(p)/2} so the metric is Euclidean to
-    leading order at the center; `scale` records that factor and
-    `phi_center` the raw value subtracted.  With this normalization the
-    Gauss curvature at the center is -(c1 + c2).
+    Coordinates are rescaled by `scale` = e^{phi(p)/2}, so the metric is
+    Euclidean to leading order at the center; `phi_center` = phi(p) is
+    the raw value subtracted, (b1, b2) the gradient of phi in the
+    rescaled coordinates and `curvature` the Gauss curvature
+    -(1/2) e^{-phi} Delta_0 phi at p.
     """
 
     center: tuple[float, float]
     b1: float
     b2: float
-    c1: float
-    c2: float
-    c12: float
+    curvature: float
     scale: float
     phi_center: float
-    fit_residual: float
-
-    @property
-    def curvature(self) -> float:
-        return -(self.c1 + self.c2)
 
 
 def make_flat_torus(n: int) -> Metric:
@@ -112,79 +107,60 @@ def make_conformal_metric(phi_raw: ScalarField) -> Metric:
     return Metric(phi=phi, area=float(np.mean(weight)), weight=weight)
 
 
-# Monomial exponents for the degree-3 local fit: 1, x, y, x^2, y^2, xy, cubics.
-_FIT_POWERS = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1),
-               (3, 0), (2, 1), (1, 2), (0, 3)]
-
-# Extended basis (full degree 5) used for the metric expansion, where the
-# quadratic coefficients carry the curvature: a degree-3 fit leaves an
-# O(rho^2) quartic bias on them (~1e-2 for smooth order-one conformal
-# factors at rho = 8h, n = 256), far above the target accuracy.
-_FIT_POWERS_EXT = _FIT_POWERS + [
-    (4, 0), (3, 1), (2, 2), (1, 3), (0, 4),
-    (5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)]
+# Exponents (a, b) of the degree-5 fit's monomials x^a y^b, in column
+# order: 1, x, y, x^2, y^2, xy, then the cubics, quartics and quintics.
+_FIT_POWERS = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)] + [
+    (d - j, j) for d in (3, 4, 5) for j in range(d + 1)]
 
 
 def polyfit_disc(dx: np.ndarray, dy: np.ndarray, vals: np.ndarray,
-                 rho: float, powers=None):
-    """Polynomial least squares on scattered displacements from a disc center.
+                 rho: float):
+    """Full degree-5 least squares on scattered displacements from a disc
+    center, so that neither cubic nor quartic content biases the
+    quadratic coefficients.
 
-    Returns (coeffs keyed by `powers` order, rms residual).  Coordinates
+    Returns (coeffs in _FIT_POWERS order, rms residual).  Coordinates
     are scaled by rho inside the solve for conditioning; returned
     coefficients refer to unscaled displacements.
     """
-    if powers is None:
-        powers = _FIT_POWERS
     xs = np.asarray(dx) / rho
     ys = np.asarray(dy) / rho
-    cols = [xs ** a * ys ** b for a, b in powers]
+    cols = [xs ** a * ys ** b for a, b in _FIT_POWERS]
     design = np.stack(cols, axis=1)
     coef, _, _, _ = np.linalg.lstsq(design, np.asarray(vals), rcond=None)
     resid = design @ coef - vals
     rms = float(np.sqrt(np.mean(resid ** 2)))
     unscaled = np.array([c / rho ** (a + b)
-                         for c, (a, b) in zip(coef, powers)])
+                         for c, (a, b) in zip(coef, _FIT_POWERS)])
     return unscaled, rms
 
 
 def metric_expansion_at(metric: Metric, p) -> MetricExpansion:
-    """Quadratic expansion of phi at p with the local phi(p)=0 normalization.
+    """The metric chart at p, read exactly from phi's modes, with no fit.
 
-    The fit is full degree 5 on a disc of radius 8h so neither cubic nor
-    quartic content biases the quadratic coefficients; terms above degree
-    two are then discarded.  A fit whose rms residual exceeds 1e-2 of
-    max |phi - phi(p)| raises AccuracyError.  Coefficients are reported
-    in coordinates rescaled by e^{phi(p)/2}, which makes -(c1+c2) the
-    Gauss curvature.
+    phi is band-limited, so its value, gradient and flat Laplacian at p
+    are mode sums: one eval_modes_stack_at call on the rows phi-hat,
+    ik_x phi-hat, ik_y phi-hat and laplacian phi-hat.  Then s =
+    e^{phi(p)/2}, b = grad phi(p) / s and K = -Delta_0 phi(p) / (2 s^2).
+    A flat metric's chart is the identity and evaluates nothing.
     """
     p = np.asarray(p, dtype=float)
-    grid = metric.grid
-    rho_fit = 8.0 * grid.h
-    rtol = 1e-2
+    center = (float(p[0]), float(p[1]))
     if metric.is_flat:
-        return MetricExpansion(center=(p[0], p[1]), b1=0.0, b2=0.0,
-                               c1=0.0, c2=0.0, c12=0.0, scale=1.0,
-                               phi_center=0.0, fit_residual=0.0)
-    phi_p = float(spectral.eval_at(metric.phi, p[None, :])[0])
-    X, Y = grid.mesh()
-    dx = spectral.wrap_offset(X - p[0])
-    dy = spectral.wrap_offset(Y - p[1])
-    mask = dx ** 2 + dy ** 2 <= rho_fit ** 2
-    coef, rms = polyfit_disc(dx[mask], dy[mask],
-                             (metric.phi.values - phi_p)[mask], rho_fit,
-                             _FIT_POWERS_EXT)
-    scale_ref = max(float(np.max(np.abs(metric.phi.values - phi_p))), 1e-12)
-    if rms > rtol * scale_ref:
-        raise AccuracyError(
-            f"local fit residual {rms:.3e} exceeds {rtol:.1e} * {scale_ref:.3e}")
-    s = np.exp(phi_p / 2.0)  # local coordinate rescaling factor
-    _, b1, b2, c1, c2, c12 = coef[:6]
-    return MetricExpansion(center=(float(p[0]), float(p[1])),
-                           b1=float(b1 / s), b2=float(b2 / s),
-                           c1=float(c1 / s ** 2), c2=float(c2 / s ** 2),
-                           c12=float(c12 / s ** 2),
-                           scale=float(s), phi_center=phi_p,
-                           fit_residual=rms)
+        return MetricExpansion(center=center, b1=0.0, b2=0.0, curvature=0.0,
+                               scale=1.0, phi_center=0.0)
+    grid = metric.grid
+    modes = metric.phi.modes
+    ikx, iky = grid.ik
+    stack = np.stack([modes, ikx * modes, iky * modes,
+                      grid.laplacian * modes])
+    phi_p, dphi_x, dphi_y, lap = spectral.eval_modes_stack_at(
+        grid, stack, p[None, :])[:, 0]
+    s = math.exp(phi_p / 2.0)  # local coordinate rescaling factor
+    return MetricExpansion(center=center, b1=float(dphi_x / s),
+                           b2=float(dphi_y / s),
+                           curvature=float(-lap / (2.0 * s * s)),
+                           scale=s, phi_center=float(phi_p))
 
 
 def load_conformal_metric(path) -> Metric:

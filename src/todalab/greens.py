@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import geometry, spectral
-from .errors import ConfigError, ResolutionError
+from .errors import AccuracyError, ConfigError, ResolutionError
 from .functional import (CoupledEnergy, DescentReport, SolverOptions,
                          run_descent)
 from .geometry import Metric, polyfit_disc
@@ -468,7 +468,8 @@ class LocalExpansion:
 
     G = a log r + A + lambda x + mu y + alpha x^2 + beta y^2 + gamma xy + O(r^3)
     in the coordinates of the point's chart (GreenPair.charts), rescaled by
-    e^{phi(p)/2}.  The off-source equation forces alpha + beta = 2 pi.
+    e^{phi(p)/2}, with fit_residual the rms of the degree-5 fit behind
+    lambda to gamma.  The off-source equation forces alpha + beta = 2 pi.
     """
 
     a: float
@@ -484,7 +485,7 @@ class LocalExpansion:
 @dataclass
 class GreenPair:
     """The two coupled Green's functions, their expansions[(k, i)] (field k
-    at point i) and charts[i], point i's metric chart (fitted once)."""
+    at point i) and charts[i], point i's metric chart (built once)."""
 
     case_tag: str
     points: list[np.ndarray]
@@ -606,16 +607,24 @@ def green_pair_case2(p, metric: Metric,
                      descent=DescentReport.from_raw(raw, weight))
 
 
+# the largest |alpha + beta - 2 pi| local_expansion accepts.  Smooth
+# metrics (cosine:a, a <= 1) read at most 0.28 at n = 32 and 2.5e-2 at
+# n = 64, the flat one-point pair 0.42 at n = 16; a metric that varies on
+# a few cells (0.5 cos(20 * 2 pi x)) reads 0.57 and more.
+_TRACE_TOL = 0.5
+
+
 def local_expansion(pair: GreenPair, which: int, at) -> LocalExpansion:
     """Quadratic data of G_which at one of the pair's points.
 
     The constant A is exact: it is the regular part eval_regular at the
     pole, so no fit bias enters the closing constants built from it.
     The log term is subtracted analytically and lambda, mu, alpha, beta,
-    gamma are least-squares fits on the disc of radius 8h with a full
-    degree-3 basis, so the cubic content does not bias them; the cubic
-    coefficients are then discarded.  Coefficients are reported in the
-    point's chart, pair.charts[idx], fitted here on first use.
+    gamma are a degree-5 polyfit_disc on the disc of radius 8h.  They are
+    reported in the point's chart, pair.charts[idx], built here on first
+    use.  The off-source equation forces alpha + beta = 2 pi, so a fit
+    whose expansion_trace_residual exceeds _TRACE_TOL does not follow the
+    field and raises AccuracyError.
     """
     grid = pair.grid
     at = np.asarray(at, dtype=float)
@@ -651,6 +660,11 @@ def local_expansion(pair: GreenPair, which: int, at) -> LocalExpansion:
         lam=float(lam / c), mu=float(mu / c),
         alpha=float(al / c ** 2), beta=float(be / c ** 2),
         gamma=float(ga / c ** 2), fit_residual=float(rms))
+    trace = expansion_trace_residual(exp)
+    if not trace <= _TRACE_TOL:
+        raise AccuracyError(f"quadratic trace |alpha + beta - 2 pi| = "
+                            f"{trace:.3e} of G{which} at point {idx} exceeds "
+                            f"{_TRACE_TOL}: the 8h fit disc misses the field")
     pair.expansions[(which, idx)] = exp
     return exp
 

@@ -271,6 +271,11 @@ def test_verify_ok(tmp_path, capsys):
     assert len(payload["checks"]) == 21
     assert all(c["passed"] for c in payload["checks"])
     assert payload["config_sha256"]
+    # the degree-5 fits at n = 256 read 3.7e-8 against 1e-6
+    traces = [c for c in payload["checks"]
+              if c["check"].startswith("quadratic_trace_")]
+    assert len(traces) == 4
+    assert all(c["tolerance"] == 1e-6 for c in traces)
 
 
 def test_verify_perturb_fails(tmp_path, capsys):
@@ -386,13 +391,14 @@ def test_green_case1(tmp_path, capsys):
     payload = json.loads((tmp_path / "green.json").read_text())
     rows = payload["expansions"]
     assert [r["a"] for r in rows] == [-4.0, 2.0, 2.0, -4.0]
-    assert all(abs(r["alpha_plus_beta"] - 2 * math.pi) < 5e-2 for r in rows)
+    # the degree-5 fits read at most 2.4e-6 here
+    assert all(abs(r["alpha_plus_beta"] - 2 * math.pi) < 1e-4 for r in rows)
     assert payload["case"] == "one"
 
 
 def test_green_rough_metric_exits_2_with_one_line(tmp_path, capsys):
-    # phi = 0.5 cos(20 * 2 pi x) varies on a few cells: no quadratic chart
-    # fits it at a pole, so no expansion can be stated in one
+    # phi = 0.5 cos(20 * 2 pi x) varies on a few cells: the Green fields'
+    # fits at a pole miss alpha + beta = 2 pi, so no expansion is stated
     grid = TorusGrid(64)
     X, _ = grid.mesh()
     save_field(str(tmp_path / "rough.txt"),
@@ -401,7 +407,7 @@ def test_green_rough_metric_exits_2_with_one_line(tmp_path, capsys):
                         f"metric.kind = file={tmp_path / 'rough.txt'}\n")
     assert main(["green", "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: local fit residual ")
+    assert err.startswith("numerical failure: quadratic trace ")
     assert err.count("\n") == 1
     assert not (tmp_path / "green.json").exists()
 
@@ -455,6 +461,23 @@ def test_green_needs_points(tmp_path, capsys):
     path = write_config(tmp_path, "grid.n = 128\n")
     assert main(["green", "--config", path]) == 64
     capsys.readouterr()
+
+
+def test_green_one_point_csv_cells_are_flat(tmp_path, capsys):
+    # the one-point pair's descent record is one descent_<field> column
+    # per field in CSV (the JSON report keeps it nested)
+    path = write_config(tmp_path, "grid.n = 64\npoints = 0.5,0.5\n"
+                        "output.format = csv\n")
+    assert main(["green", "--config", path, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "green.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert not any(cell.startswith("{") for row in rows
+                   for cell in row.values())
+    assert "descent" not in rows[0]
+    assert {row["descent_stop_reason"] for row in rows} == {"grad_tol"}
+    assert {row["descent_el_residual"] for row in rows} == {""}
 
 
 def test_green_deterministic(tmp_path, capsys):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from todalab.errors import (AccuracyError, ConfigError, DataError,
-                            GeometryError, GridMismatchError)
+from todalab.errors import (ConfigError, DataError, GeometryError,
+                            GridMismatchError)
 from todalab.geometry import (
     load_conformal_metric,
     make_conformal_metric,
@@ -117,7 +117,7 @@ def test_large_exponents_normalize_or_raise():
 def test_expansion_flat_is_zero():
     m = make_flat_torus(64)
     e = metric_expansion_at(m, (0.3, 0.6))
-    assert (e.b1, e.b2, e.c1, e.c2, e.c12) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    assert (e.b1, e.b2, e.curvature) == (0.0, 0.0, 0.0)
     assert e.scale == 1.0
 
 
@@ -126,29 +126,23 @@ def test_expansion_linear_coefficients():
     p = np.array([0.3, 0.4])
     e = metric_expansion_at(m, p)
     grad = eval_gradient_at(m.phi, p[None, :])[0]
-    # b's are derivatives in coordinates rescaled by e^{phi(p)/2}
+    # b's are derivatives in coordinates rescaled by e^{phi(p)/2}; both
+    # sides are exact mode sums (measured 0.0), so only round-off is left
     phi_p = float(eval_at(m.phi, p[None, :])[0])
     s = math.exp(phi_p / 2.0)
-    assert abs(e.b1 - grad[0] / s) < 2e-4
-    assert abs(e.b2 - grad[1] / s) < 2e-4
-    assert abs(e.scale - s) < 1e-10
+    assert abs(e.b1 - grad[0] / s) < 1e-12
+    assert abs(e.b2 - grad[1] / s) < 1e-12
+    assert abs(e.scale - s) < 1e-12
 
 
 def test_expansion_curvature_trace():
+    # the chart's K against the dealiased curvature field interpolated at
+    # p: 6.6e-14 and 1.1e-13 measured, bounded with a factor 100 margin
     m = cos_cos_metric(256)
     for p in ((0.25, 0.25), (0.3, 0.4)):
         e = metric_expansion_at(m, p)
         k_p = float(eval_at(m.curvature, np.array([p]))[0])
-        assert abs(e.curvature - k_p) < 1e-4
-
-
-def test_expansion_rough_field_rejected():
-    grid = TorusGrid(64)
-    X, _ = grid.mesh()
-    # 20 oscillations across the fit disc: a quadratic cannot follow it
-    m = make_conformal_metric(ScalarField(grid, 0.5 * np.cos(20 * TWO_PI * X)))
-    with pytest.raises(AccuracyError):
-        metric_expansion_at(m, (0.37, 0.52))
+        assert abs(e.curvature - k_p) < 1e-11
 
 
 def test_integrate_examples():

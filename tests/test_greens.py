@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from todalab.errors import ConfigError, ResolutionError
+from todalab.errors import AccuracyError, ConfigError, ResolutionError
 from todalab.geometry import (make_conformal_metric, make_flat_torus,
                               metric_expansion_at)
 from todalab.greens import (
@@ -178,23 +178,31 @@ def test_trace_identity_synthetic():
 
 
 def test_charts_fitted_once_per_pole(monkeypatch):
-    # the expansions evaluate phi off the grid once per pole, for its
+    # the expansions evaluate phi off the grid once per pole, as one
+    # stack of its value, gradient and Laplacian rows for the pole's
     # chart, and every user reads that chart from pair.charts
     grid = TorusGrid(64)
     X, Y = grid.mesh()
     metric = make_conformal_metric(ScalarField(
         grid, 0.5 * np.cos(TWO_PI * X) * np.cos(TWO_PI * Y)))
     pair = green_pair_case1((0.0, 0.0), (0.5, 0.5), metric)
-    calls = []
-    real = spectral.eval_at
+    stacks, singles = [], []
+    real_stack, real_single = spectral.eval_modes_stack_at, spectral.eval_at
 
-    def counted(field, pts):
-        calls.append(field is metric.phi)
-        return real(field, pts)
+    def counted_stack(grid, stack, points, fine=None):
+        stacks.append(len(stack) == 4
+                      and np.array_equal(stack[0], metric.phi.modes))
+        return real_stack(grid, stack, points, fine)
 
-    monkeypatch.setattr(spectral, "eval_at", counted)
+    def counted_single(field, pts):
+        singles.append(field is metric.phi)
+        return real_single(field, pts)
+
+    monkeypatch.setattr(spectral, "eval_modes_stack_at", counted_stack)
+    monkeypatch.setattr(spectral, "eval_at", counted_single)
     extract_expansions(pair)
-    assert calls.count(True) == 2
+    assert stacks.count(True) == 2
+    assert not any(singles)
     monkeypatch.undo()
     assert sorted(pair.charts) == [0, 1]
     for i, p in enumerate(pair.points):
@@ -202,8 +210,23 @@ def test_charts_fitted_once_per_pole(monkeypatch):
 
 
 def test_trace_identity_measured(pair1_128):
+    # the degree-5 fits read at most 2.4e-6 here
     for key, e in pair1_128.expansions.items():
-        assert expansion_trace_residual(e) < 5e-2, key
+        assert expansion_trace_residual(e) < 1e-4, key
+
+
+def test_expansion_rough_field_rejected():
+    # phi = 0.5 cos(20 * 2 pi x) varies on a few cells, 2.5 periods across
+    # the 8h fit disc at n = 64: no quintic follows it, so alpha + beta
+    # misses 2 pi (by 2.0 to 2.2), and the fit is rejected, not kept
+    grid = TorusGrid(64)
+    X, _ = grid.mesh()
+    metric = make_conformal_metric(
+        ScalarField(grid, 0.5 * np.cos(20 * TWO_PI * X)))
+    pair = green_pair_case1((0.25, 0.25), (0.75, 0.75), metric)
+    with pytest.raises(AccuracyError, match="quadratic trace"):
+        local_expansion(pair, 1, pair.points[0])
+    assert pair.expansions == {}
 
 
 def test_smooth_remainder_band_limited(pair1_512):
