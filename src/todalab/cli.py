@@ -289,7 +289,7 @@ def _verify_checks(cfg: RunConfig, perturb: bool) -> list[dict]:
         for i in (0, 1):
             e = pair.expansions[(k, i)]
             add(f"quadratic_trace_G{k}_p{i + 1}", e.alpha + e.beta,
-                2.0 * math.pi, 1e-6, kind="abs")
+                2.0 * math.pi, 1e-10, kind="abs")
     return checks
 
 
@@ -365,7 +365,7 @@ def cmd_green(cfg: RunConfig) -> int:
                      "y": c.center[1], "a": e.a, "A": e.A, "lambda": e.lam,
                      "mu": e.mu, "alpha": e.alpha, "beta": e.beta,
                      "gamma": e.gamma, "alpha_plus_beta": e.alpha + e.beta,
-                     "scale": c.scale, "fit_residual": e.fit_residual})
+                     "scale": c.scale})
     payload = {**_report_header(cfg), "case": pair.case_tag,
                "expansions": rows}
     if pair.case_tag == "two":

@@ -37,7 +37,7 @@ class GeometryError(TodalabError, ValueError):
 
 
 class AccuracyError(TodalabError, RuntimeError):
-    """A fit or quadrature failed to meet its declared tolerance."""
+    """A quadrature, or the metric's grid resolution, missed its tolerance."""
 
 
 class ResolutionError(TodalabError, RuntimeError):

@@ -23,7 +23,7 @@ from .spectral import ScalarField, TorusGrid
 __all__ = [
     "TorusGrid", "Metric", "MetricExpansion",
     "make_flat_torus", "make_conformal_metric", "metric_expansion_at",
-    "polyfit_disc", "load_conformal_metric",
+    "load_conformal_metric",
 ]
 
 
@@ -107,40 +107,12 @@ def make_conformal_metric(phi_raw: ScalarField) -> Metric:
     return Metric(phi=phi, area=float(np.mean(weight)), weight=weight)
 
 
-# Exponents (a, b) of the degree-5 fit's monomials x^a y^b, in column
-# order: 1, x, y, x^2, y^2, xy, then the cubics, quartics and quintics.
-_FIT_POWERS = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)] + [
-    (d - j, j) for d in (3, 4, 5) for j in range(d + 1)]
-
-
-def polyfit_disc(dx: np.ndarray, dy: np.ndarray, vals: np.ndarray,
-                 rho: float):
-    """Full degree-5 least squares on scattered displacements from a disc
-    center, so that neither cubic nor quartic content biases the
-    quadratic coefficients.
-
-    Returns (coeffs in _FIT_POWERS order, rms residual).  Coordinates
-    are scaled by rho inside the solve for conditioning; returned
-    coefficients refer to unscaled displacements.
-    """
-    xs = np.asarray(dx) / rho
-    ys = np.asarray(dy) / rho
-    cols = [xs ** a * ys ** b for a, b in _FIT_POWERS]
-    design = np.stack(cols, axis=1)
-    coef, _, _, _ = np.linalg.lstsq(design, np.asarray(vals), rcond=None)
-    resid = design @ coef - vals
-    rms = float(np.sqrt(np.mean(resid ** 2)))
-    unscaled = np.array([c / rho ** (a + b)
-                         for c, (a, b) in zip(coef, _FIT_POWERS)])
-    return unscaled, rms
-
-
 def metric_expansion_at(metric: Metric, p) -> MetricExpansion:
     """The metric chart at p, read exactly from phi's modes, with no fit.
 
     phi is band-limited, so its value, gradient and flat Laplacian at p
-    are mode sums: one eval_modes_stack_at call on the rows phi-hat,
-    ik_x phi-hat, ik_y phi-hat and laplacian phi-hat.  Then s =
+    are one direct mode sum (spectral.eval_modes_direct) of the rows
+    phi-hat, ik_x phi-hat, ik_y phi-hat and laplacian phi-hat.  Then s =
     e^{phi(p)/2}, b = grad phi(p) / s and K = -Delta_0 phi(p) / (2 s^2).
     A flat metric's chart is the identity and evaluates nothing.
     """
@@ -154,8 +126,7 @@ def metric_expansion_at(metric: Metric, p) -> MetricExpansion:
     ikx, iky = grid.ik
     stack = np.stack([modes, ikx * modes, iky * modes,
                       grid.laplacian * modes])
-    phi_p, dphi_x, dphi_y, lap = spectral.eval_modes_stack_at(
-        grid, stack, p[None, :])[:, 0]
+    phi_p, dphi_x, dphi_y, lap = spectral.eval_modes_direct(grid, stack, p)
     s = math.exp(phi_p / 2.0)  # local coordinate rescaling factor
     return MetricExpansion(center=center, b1=float(dphi_x / s),
                            b2=float(dphi_y / s),

@@ -17,13 +17,13 @@ stencils — via a Gaussian-screened (Ewald-style) split of the flat-torus
 Green's function: the real-space part is a 3x3 periodic-image sum of
 (1/4 pi) E1(r^2 / 2 eta^2) (a strict superset of the nearest image,
 exact to machine precision for every admissible eta), and the remainder
-is band-limited by construction, so local expansion constants come out
-clean.  All singular fields are represented as
+is band-limited by construction.  All singular fields are represented as
 
     G(x) = sum_i strength_i * V(x - p_i) + band(x) + const,
 
 where V is the image sum; values, gradients, and weighted integrals are
-evaluated from this form analytically or by exact mode sums.
+evaluated from this form analytically or by exact mode sums, and so are
+the local expansions: the regular part and its derivatives at a pole.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from . import geometry, spectral
 from .errors import AccuracyError, ConfigError, ResolutionError
 from .functional import (CoupledEnergy, DescentReport, SolverOptions,
                          run_descent)
-from .geometry import Metric, polyfit_disc
+from .geometry import Metric
 from .spectral import ScalarField, TorusGrid
 
 __all__ = [
@@ -313,6 +313,30 @@ class SingularField:
         return (spectral.eval_at(self.band, pts) + self.const
                 + self._combine(pts, None, (idx, [near]))[0])
 
+    def regular_derivatives(self, idx: int) -> np.ndarray:
+        """[d_x, d_y, d_xx, d_yy, d_xy] of eval_regular at p_idx, exact: the
+        band's five derivative rows in one direct mode sum; pole idx's
+        nearest image, E1(z) + log z = -gamma + z - ..., adds
+        s_idx / (4 pi eta^2) to d_xx and d_yy; every other image term
+        (1/4 pi) E1(z), d = p_idx - p_j + o, adds -e^{-z} d / (2 pi r^2)
+        and -e^{-z} / (2 pi r^2) (I - (2 / r^2 + 1 / eta^2) d d^T), zero
+        at z >= _Z_SKIP."""
+        p, eta = self.points[idx], self.eta
+        ikx, iky = self.grid.ik
+        b = self.band.modes
+        rows = [ikx * b, iky * b, ikx * ikx * b, iky * iky * b, ikx * iky * b]
+        jet = spectral.eval_modes_direct(self.grid, np.stack(rows), p)
+        jet[2:4] += self.strengths[idx] / (4.0 * math.pi * eta * eta)
+        for j, (q, s) in enumerate(zip(self.points, self.strengths)):
+            d, r2, z = (a[0] for a in _displacements(
+                p, q, eta, _FAR_OFFSETS if j == idx else _IMAGE_OFFSETS))
+            w = np.where(z < _Z_SKIP, -s * np.exp(-z) / (2 * math.pi * r2), 0)
+            c = w * (2.0 / r2 + 1.0 / (eta * eta))
+            dx, dy = d.T
+            jet += [w @ dx, w @ dy, np.sum(w - c * dx * dx),
+                    np.sum(w - c * dy * dy), -c @ (dx * dy)]
+        return jet
+
     def eval_gradient(self, pts: np.ndarray) -> np.ndarray:
         """Analytic/spectral gradient at arbitrary points; (m, 2)."""
         pts = np.atleast_2d(pts)
@@ -468,8 +492,9 @@ class LocalExpansion:
 
     G = a log r + A + lambda x + mu y + alpha x^2 + beta y^2 + gamma xy + O(r^3)
     in the coordinates of the point's chart (GreenPair.charts), rescaled by
-    e^{phi(p)/2}, with fit_residual the rms of the degree-5 fit behind
-    lambda to gamma.  The off-source equation forces alpha + beta = 2 pi.
+    e^{phi(p)/2}: A and lambda to gamma are the regular part and its exact
+    derivatives at the point.  The off-source equation forces alpha + beta
+    = 2 pi.
     """
 
     a: float
@@ -479,7 +504,6 @@ class LocalExpansion:
     alpha: float
     beta: float
     gamma: float
-    fit_residual: float
 
 
 @dataclass
@@ -607,70 +631,50 @@ def green_pair_case2(p, metric: Metric,
                      descent=DescentReport.from_raw(raw, weight))
 
 
-# the largest |alpha + beta - 2 pi| local_expansion accepts.  Smooth
-# metrics (cosine:a, a <= 1) read at most 0.28 at n = 32 and 2.5e-2 at
-# n = 64, the flat one-point pair 0.42 at n = 16; a metric that varies on
-# a few cells (0.5 cos(20 * 2 pi x)) reads 0.57 and more.
-_TRACE_TOL = 0.5
+# The largest share of e^phi's largest mode that its modes with
+# max(|k_x|, |k_y|) > n/3 may reach.  cosine:a, a <= 1, reads at most
+# 6.2e-6 at n = 16 and 2.5e-12 at n = 32; 0.5 cos(20 * 2 pi x), which
+# varies on a few cells, 3.0e-2 at n = 64 and 2.5e-3 at n = 128.
+_TAIL_TOL = 1e-4
 
 
 def local_expansion(pair: GreenPair, which: int, at) -> LocalExpansion:
-    """Quadratic data of G_which at one of the pair's points.
-
-    The constant A is exact: it is the regular part eval_regular at the
-    pole, so no fit bias enters the closing constants built from it.
-    The log term is subtracted analytically and lambda, mu, alpha, beta,
-    gamma are a degree-5 polyfit_disc on the disc of radius 8h.  They are
-    reported in the point's chart, pair.charts[idx], built here on first
-    use.  The off-source equation forces alpha + beta = 2 pi, so a fit
-    whose expansion_trace_residual exceeds _TRACE_TOL does not follow the
-    field and raises AccuracyError.
+    """Quadratic data of G_which at one of the pair's points, exact: A is
+    eval_regular at the pole, lambda to gamma the regular part's
+    derivatives there (SingularField.regular_derivatives), in the point's
+    chart pair.charts[idx], built here on first use.  Before a curved
+    metric's first chart, an e^phi whose modes above n/3 exceed _TAIL_TOL
+    of its largest raises AccuracyError: the grid does not resolve it.
     """
-    grid = pair.grid
     at = np.asarray(at, dtype=float)
-    rho_fit = 8.0 * grid.h
-    idx = None
-    for j, pj in enumerate(pair.points):
-        if np.linalg.norm(spectral.wrap_offset(at - pj)) < 1e-12:
-            idx = j
-            break
-    if idx is None:
+    near = [j for j, pj in enumerate(pair.points)
+            if np.linalg.norm(spectral.wrap_offset(at - pj)) < 1e-12]
+    if not near:
         raise ConfigError("expansion point is not one of the pair's points")
-    g = pair.field(which)
+    idx, g, metric = near[0], pair.field(which), pair.metric
     if idx not in pair.charts:
-        pair.charts[idx] = geometry.metric_expansion_at(pair.metric,
+        if not metric.is_flat:
+            kx, ky = metric.grid.freqs()
+            modes = np.abs(spectral.to_modes(metric.weight))
+            top = np.maximum(np.abs(kx), ky) > metric.grid.n / 3.0
+            share = modes[top].max() / modes.max()
+            if not share <= _TAIL_TOL:
+                raise AccuracyError(
+                    f"metric unresolved at n = {metric.grid.n}: e^phi's "
+                    f"modes above n/3 reach {share:.3e} of its largest, "
+                    f"over {_TAIL_TOL:g}")
+        pair.charts[idx] = geometry.metric_expansion_at(metric,
                                                         pair.points[idx])
-
-    X, Y = grid.mesh()
-    dx = spectral.wrap_offset(X - at[0]).ravel()
-    dy = spectral.wrap_offset(Y - at[1]).ravel()
-    mask = dx ** 2 + dy ** 2 <= rho_fit ** 2
-    # the fit disc and, last, the pole itself in one evaluation
-    pts = np.stack([np.r_[X.ravel()[mask], pair.points[idx][0]],
-                    np.r_[Y.ravel()[mask], pair.points[idx][1]]], axis=1)
-    vals = g.eval_regular(pts, idx)
-    A = vals[-1]
-    coef, rms = polyfit_disc(dx[mask], dy[mask], vals[:-1], rho_fit)
-    c = pair.charts[idx].scale
-    a = g.log_coefficients[idx]
-    lam, mu = coef[1], coef[2]
-    al, be, ga = coef[3], coef[4], coef[5]
-    exp = LocalExpansion(
-        a=a, A=float(A - a * math.log(c)),
-        lam=float(lam / c), mu=float(mu / c),
-        alpha=float(al / c ** 2), beta=float(be / c ** 2),
-        gamma=float(ga / c ** 2), fit_residual=float(rms))
-    trace = expansion_trace_residual(exp)
-    if not trace <= _TRACE_TOL:
-        raise AccuracyError(f"quadratic trace |alpha + beta - 2 pi| = "
-                            f"{trace:.3e} of G{which} at point {idx} exceeds "
-                            f"{_TRACE_TOL}: the 8h fit disc misses the field")
+    p, c, a = pair.points[idx], pair.charts[idx].scale, g.log_coefficients[idx]
+    A = g.eval_regular(p[None, :], idx)[0] - a * math.log(c)
+    jet = g.regular_derivatives(idx) / [c, c, 2 * c * c, 2 * c * c, c * c]
+    exp = LocalExpansion(a, float(A), *map(float, jet))
     pair.expansions[(which, idx)] = exp
     return exp
 
 
 def extract_expansions(pair: GreenPair) -> None:
-    """Fit every (field, point) combination and cache it on the pair."""
+    """Expand every (field, point) combination and cache it on the pair."""
     for which in (1, 2):
         for pj in pair.points:
             local_expansion(pair, which, pj)
@@ -678,7 +682,8 @@ def extract_expansions(pair: GreenPair) -> None:
 
 def expansion_trace_residual(exp: LocalExpansion) -> float:
     """|alpha + beta - 2 pi|: the off-source equation forces the quadratic
-    trace of the regular part to equal 2 pi in normalized coordinates."""
+    trace of the regular part to equal 2 pi in normalized coordinates;
+    exact derivatives leave round-off and e^phi's aliasing at the point."""
     return abs(exp.alpha + exp.beta - 2.0 * math.pi)
 
 

@@ -33,7 +33,7 @@ is O((L*eps)^2 * bias), orders below the deficit.  The closing constants
 (lower_bound_case1/2) are not so forgiving: they carry A with weight
 2 pi, so any bias in A passes straight into the gap phi0 - C.  A is
 therefore exact (the regular part at the pole, see
-greens.local_expansion); only lambda and mu are least-squares fits.
+greens.local_expansion), and so are lambda and mu (its derivatives).
 """
 
 from __future__ import annotations

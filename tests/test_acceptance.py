@@ -175,14 +175,13 @@ def test_criterion_06_quadratic_trace():
         traces.append(max(abs(e.alpha + e.beta - 2 * PI)
                           for e in pair.expansions.values()))
     dt = time.perf_counter() - t0
-    decreasing = all(b < a for a, b in zip(traces, traces[1:]))
-    ok = traces[-1] < 1e-8 and decreasing and dt < 120.0
+    ok = max(traces) < 1e-10 and dt < 120.0
     report(6, "quadratic trace alpha+beta vs 2*pi", ok,
            "residuals " + ", ".join(f"{t:.2e}" for t in traces)
-           + f" over n=128/256/512, decreasing={decreasing}", dt, 120.0)
-    # degree-5 fits read 2.4e-6, 3.7e-8 and 5.6e-10
-    assert traces[-1] < 1e-8
-    assert decreasing
+           + " over n=128/256/512", dt, 120.0)
+    # exact derivatives leave round-off, which grows with n: 1.6e-12,
+    # 2.5e-12 and 1.2e-11 measured, so the residuals need not decrease
+    assert max(traces) < 1e-10
     assert dt < 120.0
 
 

@@ -1,7 +1,10 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -246,6 +249,60 @@ def test_config_text_parses_or_fails_cleanly(entries):
         assert os.path.isfile(cfg.metric_kind[len("file="):])
 
 
+def _mostly(valid, other):
+    """valid in three of four branches, other in the fourth."""
+    return st.one_of(valid, valid, valid, other)
+
+
+_POINT = st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                   st.floats(0.0, 1.0, exclude_max=True)).map(
+                       lambda p: f"{p[0]!r},{p[1]!r}")
+_EPS_LIST = st.lists(st.floats(1e-8, 2.0), min_size=4, max_size=6).map(
+    lambda xs: ",".join(map(repr, sorted(set(xs), reverse=True))))
+# whole runs on the 16 grid: mostly values of each key's own shape, so
+# that most examples get past parsing into the solvers, and short solves
+_RUN_ENTRIES = st.fixed_dictionaries({
+    "grid.n": st.just("16"),
+    "points": _mostly(_POINT, st.lists(st.one_of(_POINT, _TYPED["points"]),
+                                       min_size=1, max_size=2).map(";".join)),
+    "solver.max_iter": st.integers(1, 12).map(str),
+    "eps": _mostly(st.floats(1e-3, 4 * math.pi).map(repr), _NUMBER),
+}, optional={
+    "metric.kind": _mostly(st.floats(-3.0, 3.0).map("cosine:{!r}".format),
+                           _TYPED["metric.kind"]),
+    "masses": _NUMBER_LIST,
+    "solver.grad_tol": _mostly(st.floats(1e-12, 1.0).map(repr), _NUMBER),
+    "solver.ceiling": _mostly(st.floats(1.0, 60.0).map(repr), _NUMBER),
+    "testfn.eps_list": _mostly(_EPS_LIST, _NUMBER_LIST),
+    "testfn.L_coupling": _TYPED["testfn.L_coupling"],
+    "output.format": st.sampled_from(["json", "csv"]),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["green", "solve", "testfn"]), _RUN_ENTRIES)
+def test_main_runs_or_fails_with_one_line(command, entries):
+    # from the config file to the exit code: every run exits 0, 1, 2 or
+    # 64; a failure prints exactly one line to stderr, a success none,
+    # and nothing escapes main or warns (a warning would print as more
+    # stderr lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main([command, "--config", path, "--out", tmp])
+    assert code in (0, 1, 2, 64)
+    assert [str(w.message) for w in caught] == []
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (0 if code == 0 else 1), lines
+    assert err.getvalue().count("\n") == len(lines)
+
+
 def test_metric_kind_validation():
     assert RunConfig({"metric.kind": "cosine:0.2"}).metric_kind == "cosine:0.2"
     with pytest.raises(ConfigError):
@@ -271,11 +328,11 @@ def test_verify_ok(tmp_path, capsys):
     assert len(payload["checks"]) == 21
     assert all(c["passed"] for c in payload["checks"])
     assert payload["config_sha256"]
-    # the degree-5 fits at n = 256 read 3.7e-8 against 1e-6
+    # exact derivatives at n = 256 read at most 2.5e-12 against 1e-10
     traces = [c for c in payload["checks"]
               if c["check"].startswith("quadratic_trace_")]
     assert len(traces) == 4
-    assert all(c["tolerance"] == 1e-6 for c in traces)
+    assert all(c["tolerance"] == 1e-10 for c in traces)
 
 
 def test_verify_perturb_fails(tmp_path, capsys):
@@ -391,14 +448,14 @@ def test_green_case1(tmp_path, capsys):
     payload = json.loads((tmp_path / "green.json").read_text())
     rows = payload["expansions"]
     assert [r["a"] for r in rows] == [-4.0, 2.0, 2.0, -4.0]
-    # the degree-5 fits read at most 2.4e-6 here
-    assert all(abs(r["alpha_plus_beta"] - 2 * math.pi) < 1e-4 for r in rows)
+    # exact derivatives read at most 1.6e-12 here
+    assert all(abs(r["alpha_plus_beta"] - 2 * math.pi) < 1e-10 for r in rows)
     assert payload["case"] == "one"
 
 
 def test_green_rough_metric_exits_2_with_one_line(tmp_path, capsys):
-    # phi = 0.5 cos(20 * 2 pi x) varies on a few cells: the Green fields'
-    # fits at a pole miss alpha + beta = 2 pi, so no expansion is stated
+    # phi = 0.5 cos(20 * 2 pi x) varies on a few cells: e^phi is not
+    # resolved on the grid, so no expansion is stated
     grid = TorusGrid(64)
     X, _ = grid.mesh()
     save_field(str(tmp_path / "rough.txt"),
@@ -407,9 +464,24 @@ def test_green_rough_metric_exits_2_with_one_line(tmp_path, capsys):
                         f"metric.kind = file={tmp_path / 'rough.txt'}\n")
     assert main(["green", "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: quadratic trace ")
+    assert err.startswith("numerical failure: metric unresolved ")
     assert err.count("\n") == 1
     assert not (tmp_path / "green.json").exists()
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_green_coarse_curved_one_point_is_unconverged(tmp_path, capsys, n):
+    # the cosine:0.5 one-point descent stagnates at n = 16 and 32: at
+    # both the report is written and the run exits 2 naming the pair's
+    # stop reason, not an expansion failure
+    path = write_config(tmp_path, f"grid.n = {n}\nmetric.kind = cosine:0.5\n"
+                        "points = 0.3,0.6\n")
+    assert main(["green", "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: one-point pair did not converge (stagnation)\n")
+    payload = json.loads((tmp_path / "green.json").read_text())
+    assert payload["descent"]["converged"] is False
+    assert [r["field"] for r in payload["expansions"]] == [1, 2]
 
 
 def test_green_one_point_honours_solver_options(tmp_path, capsys):

@@ -20,6 +20,7 @@ from todalab.spectral import (
     eval_at,
     eval_gradient_at,
     eval_modes_at,
+    eval_modes_direct,
     eval_modes_stack_at,
     gradient0,
     laplacian0,
@@ -314,6 +315,23 @@ def test_offgrid_single_field_matches_dense_sum(n):
     assert_matches_dense(grid, modes, pts)
     one = eval_modes_at(grid, modes[0], pts)
     assert np.array_equal(one, eval_modes_stack_at(grid, modes, pts)[0])
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_direct_sum_matches_offgrid_stack(n):
+    # the one-point direct sum against the oversampled evaluator on
+    # white-noise stacks, Nyquist row and column included, at random
+    # points, grid nodes, the seam and negative coordinates
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(n + 1)
+    modes = white_noise_modes(n, 3, rng)
+    pts = offgrid_points(n, rng)[::4]
+    ref = eval_modes_stack_at(grid, modes, pts)
+    got = np.stack([eval_modes_direct(grid, modes, p) for p in pts], axis=1)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    with pytest.raises(GridMismatchError):
+        eval_modes_direct(grid, modes[:, :, :-1], pts[0])
 
 
 def test_offgrid_curved_stack_matches_dense_sum():
