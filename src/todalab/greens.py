@@ -313,28 +313,41 @@ class SingularField:
         return (spectral.eval_at(self.band, pts) + self.const
                 + self._combine(pts, None, (idx, [near]))[0])
 
-    def regular_derivatives(self, idx: int) -> np.ndarray:
-        """[d_x, d_y, d_xx, d_yy, d_xy] of eval_regular at p_idx, exact: the
-        band's five derivative rows in one direct mode sum; pole idx's
+    def regular_jet(self, idx: int) -> np.ndarray:
+        """[value, d_x, d_y, d_xx, d_yy, d_xy] of eval_regular at p_idx,
+        exact and with no oversampled grid: the band's value and five
+        derivative rows in one direct mode sum, plus const; pole idx's
         nearest image, E1(z) + log z = -gamma + z - ..., adds
+        s_idx (log 2 eta^2 - gamma) / 4 pi to the value and
         s_idx / (4 pi eta^2) to d_xx and d_yy; every other image term
-        (1/4 pi) E1(z), d = p_idx - p_j + o, adds -e^{-z} d / (2 pi r^2)
-        and -e^{-z} / (2 pi r^2) (I - (2 / r^2 + 1 / eta^2) d d^T), zero
-        at z >= _Z_SKIP."""
-        p, eta = self.points[idx], self.eta
+        (1/4 pi) E1(z), d = p_idx - p_j + o, adds itself,
+        -e^{-z} d / (2 pi r^2) and -e^{-z} / (2 pi r^2)
+        (I - (2 / r^2 + 1 / eta^2) d d^T), zero at z >= _Z_SKIP.
+
+        Round-off grows with n: d_xx + d_yy lift the band's by
+        4 pi^2 |k|^2, about n^2 eps on a one-point G2, whose band holds
+        the descent's state (expansion_trace_residual); d_x and d_y read
+        up to 1.5e-13, 5.8e-13 and 2.2e-12 at n = 128, 256 and 512 where
+        they vanish, at the flat poles (1/4, 1/4), (3/4, 3/4)."""
+        p, eta, own = self.points[idx], self.eta, self.strengths[idx]
         ikx, iky = self.grid.ik
         b = self.band.modes
-        rows = [ikx * b, iky * b, ikx * ikx * b, iky * iky * b, ikx * iky * b]
+        rows = [b, ikx * b, iky * b, ikx * ikx * b, iky * iky * b,
+                ikx * iky * b]
         jet = spectral.eval_modes_direct(self.grid, np.stack(rows), p)
-        jet[2:4] += self.strengths[idx] / (4.0 * math.pi * eta * eta)
+        jet[0] += self.const + own * (math.log(2.0 * eta * eta)
+                                      - EULER_GAMMA) / (4.0 * math.pi)
+        jet[3:5] += own / (4.0 * math.pi * eta * eta)
         for j, (q, s) in enumerate(zip(self.points, self.strengths)):
             d, r2, z = (a[0] for a in _displacements(
                 p, q, eta, _FAR_OFFSETS if j == idx else _IMAGE_OFFSETS))
-            w = np.where(z < _Z_SKIP, -s * np.exp(-z) / (2 * math.pi * r2), 0)
+            near = z < _Z_SKIP
+            w = np.where(near, -s * np.exp(-z) / (2 * math.pi * r2), 0)
             c = w * (2.0 / r2 + 1.0 / (eta * eta))
             dx, dy = d.T
-            jet += [w @ dx, w @ dy, np.sum(w - c * dx * dx),
-                    np.sum(w - c * dy * dy), -c @ (dx * dy)]
+            jet += [s * _exp1(z[near]).sum() / (4.0 * math.pi), w @ dx,
+                    w @ dy, np.sum(w - c * dx * dx), np.sum(w - c * dy * dy),
+                    -c @ (dx * dy)]
         return jet
 
     def eval_gradient(self, pts: np.ndarray) -> np.ndarray:
@@ -639,12 +652,12 @@ _TAIL_TOL = 1e-4
 
 
 def local_expansion(pair: GreenPair, which: int, at) -> LocalExpansion:
-    """Quadratic data of G_which at one of the pair's points, exact: A is
-    eval_regular at the pole, lambda to gamma the regular part's
-    derivatives there (SingularField.regular_derivatives), in the point's
-    chart pair.charts[idx], built here on first use.  Before a curved
-    metric's first chart, an e^phi whose modes above n/3 exceed _TAIL_TOL
-    of its largest raises AccuracyError: the grid does not resolve it.
+    """Quadratic data of G_which at one of the pair's points, exact: A and
+    lambda to gamma are the regular part and its derivatives at the pole
+    (SingularField.regular_jet), in the point's chart pair.charts[idx],
+    built here on first use.  Before a curved metric's first chart, an
+    e^phi whose modes above n/3 exceed _TAIL_TOL of its largest raises
+    AccuracyError: the grid does not resolve it.
     """
     at = np.asarray(at, dtype=float)
     near = [j for j, pj in enumerate(pair.points)
@@ -665,10 +678,10 @@ def local_expansion(pair: GreenPair, which: int, at) -> LocalExpansion:
                     f"over {_TAIL_TOL:g}")
         pair.charts[idx] = geometry.metric_expansion_at(metric,
                                                         pair.points[idx])
-    p, c, a = pair.points[idx], pair.charts[idx].scale, g.log_coefficients[idx]
-    A = g.eval_regular(p[None, :], idx)[0] - a * math.log(c)
-    jet = g.regular_derivatives(idx) / [c, c, 2 * c * c, 2 * c * c, c * c]
-    exp = LocalExpansion(a, float(A), *map(float, jet))
+    c, a = pair.charts[idx].scale, g.log_coefficients[idx]
+    jet = g.regular_jet(idx) / [1, c, c, 2 * c * c, 2 * c * c, c * c]
+    jet[0] -= a * math.log(c)
+    exp = LocalExpansion(a, *map(float, jet))
     pair.expansions[(which, idx)] = exp
     return exp
 
@@ -683,7 +696,13 @@ def extract_expansions(pair: GreenPair) -> None:
 def expansion_trace_residual(exp: LocalExpansion) -> float:
     """|alpha + beta - 2 pi|: the off-source equation forces the quadratic
     trace of the regular part to equal 2 pi in normalized coordinates;
-    exact derivatives leave round-off and e^phi's aliasing at the point."""
+    exact derivatives leave round-off and e^phi's aliasing at the point.
+
+    On a one-point pair the round-off grows as n^2 eps: G2's band holds
+    the descent's state, whose round-off modes 4 pi^2 |k|^2 amplifies.
+    On cosine:0.1 with its pole at (0.3, 0.6) it reads 5.0e-12, 7.2e-13
+    and 1.30e-10 at n = 64, 128 and 256, so a 1e-10 trace check on a
+    one-point pair at n >= 256 measures that round-off, not the pair."""
     return abs(exp.alpha + exp.beta - 2.0 * math.pi)
 
 

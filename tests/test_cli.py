@@ -529,6 +529,24 @@ def test_testfn_default_eps_list_fits(tmp_path, capsys):
     assert [r["eps"] for r in rows] == list(DEFAULT_EPS_LIST)
 
 
+@pytest.mark.parametrize("points, case", [("0.5,0.5", "two"),
+                                          ("0.25,0.25;0.75,0.75", "one")])
+def test_testfn_marks_case2_fit_not_a_result(tmp_path, capsys, points, case):
+    # the one-point fit's slope and constants miss a term of the case-2
+    # level (README, "not a result yet"), so testfn says so in one more
+    # stdout line; a two-point fit prints none
+    path = write_config(tmp_path, f"grid.n = 32\npoints = {points}\n")
+    assert main(["testfn", "--config", path, "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0].startswith(f"testfn: case {case}, 5 evaluations")
+    assert lines[1:] == ([
+        "testfn: the case-2 slope and constants are not a result yet "
+        "(a term of the case-2 level is missing; see README)"]
+        if case == "two" else [])
+
+
 def test_green_needs_points(tmp_path, capsys):
     path = write_config(tmp_path, "grid.n = 128\n")
     assert main(["green", "--config", path]) == 64

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from todalab.bubble import lower_bound_case1
 from todalab.errors import AccuracyError, ConfigError, ResolutionError
 from todalab.functional import SolverOptions
 from todalab.geometry import (make_conformal_metric, make_flat_torus,
@@ -72,6 +73,8 @@ def test_flat_green_near_field_constant():
     g = flat_green(p, grid)
     robin = g.eval_regular(p[None, :], 0)[0]
     assert abs(robin - ROBIN_FLAT) < 1e-6
+    # the jet's direct sum reads it to round-off (8.3e-17 measured)
+    assert abs(g.regular_jet(0)[0] - ROBIN_FLAT) < 1e-15
     # eval_regular tends to the same constant as r -> 0
     for r in (1e-3, 1e-5):
         val = g.eval_regular(p[None, :] + np.array([[r, 0.0]]), 0)[0]
@@ -180,21 +183,25 @@ def test_trace_identity_synthetic():
 def test_charts_fitted_once_per_pole(monkeypatch):
     # the expansions evaluate phi off the grid once per pole, as one
     # direct sum of its value, gradient and Laplacian rows for the pole's
-    # chart, and every user reads that chart from pair.charts; no
-    # oversampled grid of phi is built
+    # chart, and every user reads that chart from pair.charts; each
+    # expansion reads its field's jet from one six-row direct sum of the
+    # band, and nothing is evaluated through an oversampled grid
     grid = TorusGrid(64)
     X, Y = grid.mesh()
     metric = make_conformal_metric(ScalarField(
         grid, 0.5 * np.cos(TWO_PI * X) * np.cos(TWO_PI * Y)))
     pair = green_pair_case1((0.0, 0.0), (0.5, 0.5), metric)
+    bands = [g.band.modes for g in (pair.G1, pair.G2)]
     direct, stacks, singles = [], [], []
     real_direct, real_stack = spectral.eval_modes_direct, \
         spectral.eval_modes_stack_at
     real_single = spectral.eval_at
 
     def counted_direct(grid, stack, p):
-        direct.append(len(stack) == 4
-                      and np.array_equal(stack[0], metric.phi.modes))
+        first = ("phi" if np.array_equal(stack[0], metric.phi.modes) else
+                 "band" if any(np.array_equal(stack[0], b) for b in bands)
+                 else "other")
+        direct.append((len(stack), first))
         return real_direct(grid, stack, p)
 
     def counted_stack(grid, stack, points, fine=None):
@@ -209,13 +216,109 @@ def test_charts_fitted_once_per_pole(monkeypatch):
     monkeypatch.setattr(spectral, "eval_modes_stack_at", counted_stack)
     monkeypatch.setattr(spectral, "eval_at", counted_single)
     extract_expansions(pair)
-    assert direct.count(True) == 2
-    assert not any(stacks)
-    assert not any(singles)
+    assert sorted(direct) == [(4, "phi")] * 2 + [(6, "band")] * 4
+    assert stacks == []
+    assert singles == []
     monkeypatch.undo()
     assert sorted(pair.charts) == [0, 1]
     for i, p in enumerate(pair.points):
         assert pair.charts[i] == metric_expansion_at(metric, p)
+
+
+def _expansion_pair(kind, n):
+    """The flat pair (1/4, 1/4), (3/4, 3/4), the tilted cosine:0.5 pair
+    (0.1, 0.3), (0.6, 0.7) or the cosine:0.1 one-point pair at (0.3, 0.6),
+    unexpanded."""
+    if kind == "flat":
+        return green_pair_case1((0.25, 0.25), (0.75, 0.75),
+                                make_flat_torus(n))
+    if kind == "tilted":
+        return green_pair_case1((0.1, 0.3), (0.6, 0.7), _cosine_metric(0.5, n))
+    return green_pair_case2((0.3, 0.6), _cosine_metric(0.1, n))
+
+
+@pytest.mark.parametrize("kind", ["flat", "tilted", "one-point"])
+def test_expansions_build_no_oversampled_grid(kind, monkeypatch):
+    # A and lambda to gamma come from one direct sum per expansion; an
+    # oversampled grid (2n + 15)^2 per field would be built to read A alone
+    pair = _expansion_pair(kind, 64)
+    calls = []
+    real = spectral._oversampled
+    monkeypatch.setattr(spectral, "_oversampled",
+                        lambda *args: calls.append(1) or real(*args))
+    extract_expansions(pair)
+    assert calls == []
+    assert len(pair.expansions) == 2 * len(pair.points)
+
+
+# lambda, mu, alpha, beta, gamma per (field, point) at n = 64, as the
+# five-row derivative sum read them before the jet gained its value row
+# (the flat pair's lambda and mu are round-off, so it has no entry)
+JET_DERIVATIVES_64 = {
+    "tilted": {
+        (1, 0): (-0.07862217984561634, -0.25639039016170573,
+                 2.7093273563020963, 3.57385795087747, -1.914953957179198),
+        (1, 1): (0.10255078677543686, -0.7560041866044656,
+                 4.104482568297413, 2.178702738882251, -1.688092708931899),
+        (2, 0): (-0.07862217984561443, 1.6794384376149165,
+                 4.365423316297118, 1.917761990882847, -1.9149539571789278),
+        (2, 1): (0.10255078677538357, 0.9523587578423439,
+                 2.8147137378119003, 3.46847156936766, -1.6880927089319735),
+    },
+    "one-point": {
+        (1, 0): (0.04426792831141624, -0.023622522033978865,
+                 3.16631237636975, 3.116872930809672, 0.48808997747109123),
+        (2, 0): (-0.3190488284253544, 0.1031724590287988,
+                 3.0791715532776838, 3.2040137538969087, 0.065429446719858),
+    },
+}
+
+
+def _flat_pair_closing_constant():
+    """C = -8 pi log pi - 8 pi - 4 pi A of the flat pair, from the theta
+    function: A = 8 pi R - 4 pi G0(1/2, 1/2), where the zero-mean G0 is
+    theta_green + log eta(i) / 2 pi, eta(i) = Gamma(1/4) / (2 pi^(3/4)),
+    and R = -log(2 pi eta(i)^2) / 2 pi is ROBIN_FLAT."""
+    with mpmath.workdps(40):
+        eta = mpmath.gamma(mpmath.mpf(1) / 4) / (2 * mpmath.pi ** 0.75)
+        robin = -mpmath.log(2 * mpmath.pi * eta ** 2) / (2 * mpmath.pi)
+        z = mpmath.mpc(0.5, 0.5)
+        g0 = (-mpmath.log(abs(mpmath.jtheta(1, mpmath.pi * z,
+                                            mpmath.exp(-mpmath.pi)) / eta))
+              / (2 * mpmath.pi) + mpmath.mpf(1) / 8)
+        a = 8 * mpmath.pi * robin - 4 * mpmath.pi * g0
+        return float(-8 * mpmath.pi * mpmath.log(mpmath.pi) - 8 * mpmath.pi
+                     - 4 * mpmath.pi * a)
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("flat", 64), ("flat", 128), ("flat", 512),
+    ("tilted", 64), ("tilted", 128), ("tilted", 512), ("one-point", 64)])
+def test_jet_constant_matches_eval_regular(kind, n):
+    # A from the jet's direct sum against eval_regular's oversampled grid
+    # at the pole: measured at most 8.9e-15 apart.  C = const - 2 pi
+    # (A1 + A2) then moves by at most 4 pi 2e-14; on the flat pair the
+    # jet's C lies within 7.3e-14 of the closed form (eval_regular's
+    # within 6.3e-14).  The derivatives are those the five-row sum read.
+    pair = _expansion_pair(kind, n)
+    extract_expansions(pair)
+    by_grid = {}
+    for (k, i), e in pair.expansions.items():
+        p, c = pair.points[i], pair.charts[i].scale
+        by_grid[k, i] = (pair.field(k).eval_regular(p[None, :], i)[0]
+                         - e.a * math.log(c))
+        assert abs(e.A - by_grid[k, i]) < 2e-14, (k, i)
+        if n == 64 and kind in JET_DERIVATIVES_64:
+            got = (e.lam, e.mu, e.alpha, e.beta, e.gamma)
+            want = JET_DERIVATIVES_64[kind][k, i]
+            assert np.allclose(got, want, rtol=1e-15, atol=0.0), (k, i)
+    if kind != "one-point":
+        jet_c = lower_bound_case1(pair.expansions[(1, 0)].A,
+                                  pair.expansions[(2, 1)].A)
+        grid_c = lower_bound_case1(by_grid[1, 0], by_grid[2, 1])
+        assert abs(jet_c - grid_c) < 4.0 * math.pi * 2e-14
+    if kind == "flat":
+        assert abs(jet_c - _flat_pair_closing_constant()) < 1e-13
 
 
 def test_trace_identity_measured(pair1_128):
