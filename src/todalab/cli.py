@@ -53,6 +53,7 @@ _DEFAULTS = {
     "output.dir": ".",
     "output.format": "json",
 }
+_MAX_N = 4096     # the largest grid.n: a two-pole fit at 1024 takes 774 MB
 
 
 class RunConfig:
@@ -70,6 +71,8 @@ class RunConfig:
 
         self.grid = TorusGrid(self._int("grid.n"))
         self.n = self.grid.n
+        if self.n > _MAX_N:
+            raise ConfigError(f"grid.n must be at most {_MAX_N}, got {self.n}")
         self.metric_kind = merged["metric.kind"]
         if self.metric_kind.startswith("file="):
             path = self.metric_kind[5:]

@@ -24,6 +24,8 @@ is band-limited by construction.  All singular fields are represented as
 where V is the image sum; values, gradients, and weighted integrals are
 evaluated from this form analytically or by exact mode sums, and so are
 the local expansions: the regular part and its derivatives at a pole.
+Every image term is one kernel's (_image_pass: values, gradients and
+second derivatives, orders 0 to 2) through one batch driver (_combine).
 """
 
 from __future__ import annotations
@@ -112,17 +114,6 @@ def _e1_plus_log(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_neg_e1(z: np.ndarray) -> np.ndarray:
-    """exp(-E1(z)), vanishing linearly at z = 0; stable on [0, inf)."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = z < 1.0
-    zs = z[small]
-    out[small] = zs * math.exp(EULER_GAMMA) * np.exp(-_ein(zs))
-    out[~small] = np.exp(-_exp1(z[~small]))
-    return out
-
-
 def split_width(grid: TorusGrid) -> float:
     """Gaussian screening width: small enough that the screened source is
     band-limited to round-off, large enough that images beyond the 3x3
@@ -165,7 +156,7 @@ def _live_offsets(lo: np.ndarray, hi: np.ndarray, eta: float,
     image is dropped when, along the axes, the nearest of these
     intervals keeps it at or beyond the skip radius with a relative
     margin of 1e-9, so only images whose every term _image_pass sets to
-    an exact zero (and singular_exp_values to an exact 1) are left out.
+    an exact zero are left out.
     Deciding from the box alone lets a caller skip a pole before
     wrapping any point."""
     w_lo, w_hi = spectral.wrap_offset(lo), spectral.wrap_offset(hi)
@@ -195,25 +186,33 @@ def _displacements(points: np.ndarray, p, eta: float,
 
 
 def _image_pass(points: np.ndarray, p, eta: float, live: np.ndarray,
-                gradients: bool) -> list:
+                order: int) -> list:
     """The sum over the offsets o in `live` of p's images' (1/4 pi) E1(z),
-    (m,) and +inf at the source, in a list; with gradients the list also
-    holds the sum of their gradients, -e^{-z} (d + o) / (2 pi r^2),
-    (m, 2).  Culls nothing: which offsets are live is the caller's
-    decision (_live_offsets), and a term with z >= _Z_SKIP is an exact
-    zero."""
+    (m,) and +inf at the source, in a list; order 1 adds the sum of their
+    gradients w (d + o), w = -e^{-z} / (2 pi r^2), (m, 2), and order 2
+    that of their second derivatives [xx, yy, xy], w I - c (d + o)
+    (d + o)^T with c = w (2 / r^2 + 1 / eta^2), (m, 3).  Culls nothing:
+    which offsets are live is the caller's decision (_live_offsets), and
+    a term with z >= _Z_SKIP is an exact zero."""
     dall, r2, z = _displacements(points, p, eta, live)
     near = z < _Z_SKIP
     e1 = np.zeros_like(z)
     with np.errstate(divide="ignore"):
         e1[near] = _exp1(z[near])
     out = [e1.sum(axis=1) / (4.0 * math.pi)]
-    if gradients:
+    if order >= 1:
         ez = np.zeros_like(z)
         ez[near] = np.exp(-z[near])
         with np.errstate(divide="ignore", invalid="ignore"):
             w = -ez / (2.0 * math.pi * r2)
         out.append((w[:, :, None] * dall).sum(axis=1))
+    if order >= 2:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = w * (2.0 / r2 + 1.0 / (eta * eta))
+        dx, dy = dall[:, :, 0], dall[:, :, 1]
+        out.append(np.stack([(w - c * dx * dx).sum(axis=1),
+                             (w - c * dy * dy).sum(axis=1),
+                             (-c * dx * dy).sum(axis=1)], axis=1))
     return out
 
 
@@ -316,38 +315,33 @@ class SingularField:
     def regular_jet(self, idx: int) -> np.ndarray:
         """[value, d_x, d_y, d_xx, d_yy, d_xy] of eval_regular at p_idx,
         exact and with no oversampled grid: the band's value and five
-        derivative rows in one direct mode sum, plus const; pole idx's
-        nearest image, E1(z) + log z = -gamma + z - ..., adds
-        s_idx (log 2 eta^2 - gamma) / 4 pi to the value and
-        s_idx / (4 pi eta^2) to d_xx and d_yy; every other image term
-        (1/4 pi) E1(z), d = p_idx - p_j + o, adds itself,
-        -e^{-z} d / (2 pi r^2) and -e^{-z} / (2 pi r^2)
-        (I - (2 / r^2 + 1 / eta^2) d d^T), zero at z >= _Z_SKIP.
+        derivative rows in one direct mode sum, plus const, plus the
+        image terms of one order-2 _combine at p_idx.  Pole idx's nearest
+        image enters that pass in closed form: E1(z) + log z = -gamma +
+        z - ... gives (log 2 eta^2 - gamma) / 4 pi to the value and
+        1 / (4 pi eta^2) to d_xx and d_yy, per unit strength.
 
         Round-off grows with n: d_xx + d_yy lift the band's by
         4 pi^2 |k|^2, about n^2 eps on a one-point G2, whose band holds
         the descent's state (expansion_trace_residual); d_x and d_y read
         up to 1.5e-13, 5.8e-13 and 2.2e-12 at n = 128, 256 and 512 where
         they vanish, at the flat poles (1/4, 1/4), (3/4, 3/4)."""
-        p, eta, own = self.points[idx], self.eta, self.strengths[idx]
+        p, eta = self.points[idx], self.eta
         ikx, iky = self.grid.ik
         b = self.band.modes
-        rows = [b, ikx * b, iky * b, ikx * ikx * b, iky * iky * b,
-                ikx * iky * b]
-        jet = spectral.eval_modes_direct(self.grid, np.stack(rows), p)
-        jet[0] += self.const + own * (math.log(2.0 * eta * eta)
-                                      - EULER_GAMMA) / (4.0 * math.pi)
-        jet[3:5] += own / (4.0 * math.pi * eta * eta)
-        for j, (q, s) in enumerate(zip(self.points, self.strengths)):
-            d, r2, z = (a[0] for a in _displacements(
-                p, q, eta, _FAR_OFFSETS if j == idx else _IMAGE_OFFSETS))
-            near = z < _Z_SKIP
-            w = np.where(near, -s * np.exp(-z) / (2 * math.pi * r2), 0)
-            c = w * (2.0 / r2 + 1.0 / (eta * eta))
-            dx, dy = d.T
-            jet += [s * _exp1(z[near]).sum() / (4.0 * math.pi), w @ dx,
-                    w @ dy, np.sum(w - c * dx * dx), np.sum(w - c * dy * dy),
-                    -c @ (dx * dy)]
+        rows = np.empty((6,) + b.shape, dtype=complex)
+        for row, mult in zip(rows, (1.0, ikx, iky, ikx * ikx, iky * iky,
+                                    ikx * iky)):
+            np.multiply(mult, b, out=row)
+        jet = spectral.eval_modes_direct(self.grid, rows, p)
+        curv = 1.0 / (4.0 * math.pi * eta * eta)
+        near = [np.array([(math.log(2.0 * eta * eta) - EULER_GAMMA)
+                          / (4.0 * math.pi)]),
+                np.zeros((1, 2)), np.array([[curv, curv, 0.0]])]
+        value, grad, hess = self._combine(p[None], None, (idx, near), order=2)
+        jet[0] += self.const + value[0]
+        jet[1:3] += grad[0]
+        jet[3:] += hess[0]
         return jet
 
     def eval_gradient(self, pts: np.ndarray) -> np.ndarray:
@@ -369,18 +363,17 @@ class SingularField:
         then taken once per radius in polar form (_near_image), exact at
         any radius, and only its eight far images go through the batches.
         """
-        return self._combine(pts, strengths,
-                             self._polar_near(polar, False))[0]
+        return self._combine(pts, strengths, self._polar_near(polar, 0))[0]
 
     def image_gradients(self, pts: np.ndarray, strengths=None,
                         polar=None) -> tuple:
         """The image-sum part and its gradient from one pass over each
         pole's images: ((m,), (m, 2)), or ((F, m), (F, m, 2)) with
         strengths and polar as in image_values."""
-        return self._combine(pts, strengths, self._polar_near(polar, True),
-                             gradients=True)
+        return self._combine(pts, strengths, self._polar_near(polar, 1),
+                             order=1)
 
-    def _polar_near(self, polar, gradients: bool):
+    def _polar_near(self, polar, order: int):
         """(i, [values (m,)] or [values, gradients (m, 2)]) of pole i's
         nearest image at its polar nodes (see image_values); None without
         polar."""
@@ -389,18 +382,19 @@ class SingularField:
         own, r, ct, st = polar
         value, radial = _near_image(r, self.eta)
         terms = [np.repeat(value, ct.size)]
-        if gradients:
+        if order:
             unit = np.tile(np.stack([ct, st], axis=1), (r.size, 1))
             terms.append(np.repeat(radial, ct.size)[:, None] * unit)
         return own, terms
 
     def _combine(self, pts: np.ndarray, strengths, near=None,
-                 gradients: bool = False) -> tuple:
-        """sum_i rows[:, i] * V(x - p_i), and with gradients the sum of
-        rows[:, i] * grad V(x - p_i), in batches of points.
+                 order: int = 0) -> tuple:
+        """sum_i rows[:, i] * V(x - p_i), with order 1 also that of
+        rows[:, i] * grad V(x - p_i) and with order 2 of their second
+        derivatives [xx, yy, xy] (_image_pass), in batches of points.
 
         near = (own, terms) gives pole own's nearest image at every point
-        (values, and gradients with gradients); each batch starts from it
+        (its terms to the same order); each batch starts from it
         and takes only pole own's far images.  Per batch, the box of the
         points decides once which images of each pole are in reach
         (_live_offsets), and a pole with none is skipped: its terms would
@@ -415,7 +409,8 @@ class SingularField:
 
         def zeros(m):
             shape = rows.shape[:1] + (m,)
-            return [np.zeros(shape)] + [np.zeros(shape + (2,))] * gradients
+            return [np.zeros(shape + cols)
+                    for cols in ((), (2,), (3,))[:order + 1]]
 
         parts = [zeros(0)]      # what no points give
         for lo in range(0, pts.shape[0], _IMAGE_CHUNK):
@@ -430,7 +425,7 @@ class SingularField:
                                      _FAR_OFFSETS if j == own
                                      else _IMAGE_OFFSETS)
                 if live.size:
-                    terms = _image_pass(batch, p, self.eta, live, gradients)
+                    terms = _image_pass(batch, p, self.eta, live, order)
                     acc = [a + t for a, t in zip(acc, scaled(j, terms))]
             parts.append(acc)
         out = tuple(np.concatenate(part, axis=1) for part in zip(*parts))
@@ -442,24 +437,6 @@ class SingularField:
         keeps them (testfn._StackEval, for one fit)."""
         out = (spectral.to_values(self.band.modes).ravel() + self.const
                + self.image_values(self.grid.points()))
-        return out.reshape(self.grid.n, self.grid.n)
-
-    def singular_exp_values(self) -> np.ndarray:
-        """Grid values of exp(sum_i s_i V_i), stable when all s_i = -4 pi.
-
-        Only the strength -4 pi (log coefficient +2) is supported: then
-        exp(-V) is the entire function exp(-E1) and the product vanishes
-        quadratically at the singular point instead of overflowing.
-        """
-        pts = self.grid.points()
-        lo, hi = _box(pts)
-        out = np.ones(pts.shape[0])
-        for p, s in zip(self.points, self.strengths):
-            if abs(s + 4.0 * math.pi) > 1e-12:
-                raise ConfigError("stable exponential needs strength -4 pi")
-            live = _live_offsets(lo - p, hi - p, self.eta)
-            z = _displacements(pts, p, self.eta, live)[2]
-            out = out * np.prod(_exp_neg_e1(z), axis=1)
         return out.reshape(self.grid.n, self.grid.n)
 
     def integral_against(self, weight_values: np.ndarray) -> float:
@@ -586,13 +563,13 @@ def green_pair_case1(p1, p2, metric: Metric) -> GreenPair:
 
 def _pole_source(p, metric: Metric):
     """The fixed part s = -4 pi Ghat(., p) of the one-point G2: the modes
-    rp of the screened remainder at p, s's band modes, and stable grid
-    values of e^{s} (the entire product times the band exponential)."""
+    rp of the screened remainder at p, s's band modes, and grid values of
+    e^{s}, exactly 0 at a grid-aligned pole (where s = -inf)."""
     grid = metric.grid
     rp = _screened_remainder_modes(grid, p, split_width(grid))
     s_band = -4.0 * math.pi * (rp + _metric_correction_modes(metric))
-    s_sing = SingularField(grid, [p], [-4.0 * math.pi], s_band)
-    es = s_sing.singular_exp_values() * np.exp(s_sing.band.values)
+    es = np.exp(SingularField(grid, [p], [-4.0 * math.pi],
+                              s_band).grid_values())
     return rp, s_band, es
 
 

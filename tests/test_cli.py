@@ -119,6 +119,9 @@ def test_help_exits_0(capsys):
     "metric.kind = file=TMPDIR/negative.txt\n",
     "points = 0.1,0.1;0.2,0.1\n",
     "masses = 1,1\n",
+    # above 4096, rejected before numpy is asked for an n-by-n array
+    "grid.n = 8192\n",
+    "grid.n = 16777216\n",
 ])
 def test_bad_values_exit_64_with_one_line(tmp_path, capsys, text):
     # malformed metric files: a wrong value count, a non-number, no data,
@@ -223,6 +226,7 @@ _ENTRIES = st.lists(st.sampled_from(sorted(_DEFAULTS)), unique=True,
 @settings(max_examples=300, deadline=None)
 @given(_ENTRIES)
 @example({"metric.kind": "file=" + os.path.dirname(__file__)})
+@example({"grid.n": "8192"})
 def test_config_text_parses_or_fails_cleanly(entries):
     # every value either builds a config that holds the invariants the
     # commands rely on, or raises ConfigError (exit 64 in main); a few
@@ -231,6 +235,7 @@ def test_config_text_parses_or_fails_cleanly(entries):
         cfg = RunConfig(entries)
     except ConfigError:
         return
+    assert 16 <= cfg.n <= 4096
     assert cfg.seed >= 0
     assert cfg.solver.max_iter >= 1
     assert cfg.solver.grad_tol > 0.0
