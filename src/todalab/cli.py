@@ -394,7 +394,7 @@ def cmd_testfn(cfg: RunConfig) -> int:
             rep = testfn.asymptotic_fit_case1(pair, metric, cfg.testfn_eps)
         else:
             rep = testfn.asymptotic_fit_case2(pair, metric, cfg.testfn_eps)
-        rows = rep.to_records()
+        rows = rep.rows
         payload = {**_report_header(cfg), "case": pair.case_tag,
                    "constant_used": rep.constant_used,
                    "fitted_slope": rep.fitted_slope,
@@ -468,10 +468,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = parse_config(args.config) if args.config else RunConfig({})
         if args.out:
-            cfg.entries["output.dir"] = args.out
             cfg.out_dir = args.out
         if args.format:
-            cfg.entries["output.format"] = args.format
             cfg.fmt = args.format
         try:
             os.makedirs(cfg.out_dir, exist_ok=True)

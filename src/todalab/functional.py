@@ -510,11 +510,16 @@ def minimize_phi_eps(init: TodaState, eps: float, metric: Metric,
                      opts: SolverOptions | None = None
                      ) -> tuple[TodaState, DescentReport]:
     """Minimize Phi_eps from the given state by Newton-CG steps
-    (run_descent with phi_eps_functional); eps must be positive."""
+    (run_descent with phi_eps_functional); eps must be positive and both
+    masses 4 pi - eps, the only masses Phi_eps is defined for."""
     _check_eps(eps, allow_zero=False)
     opts = opts or SolverOptions()
     if init.rank != 2:
         raise ConfigError("the reduced functional takes exactly two fields")
+    mass = FOUR_PI - eps
+    if not all(abs(m - mass) <= 1e-12 * mass for m in init.masses):
+        raise ConfigError(f"masses must both be 4 pi - eps = {mass!r}, "
+                          f"got {init.masses}")
     grid = init.grid
     energy = phi_eps_functional(metric, eps)
     raw = run_descent([f.values for f in init.u], grid,

@@ -252,24 +252,20 @@ def _near_image(r: np.ndarray, eta: float) -> tuple:
     return value, -ez * (1.0 - dz) / (2.0 * math.pi * r)
 
 
-def _phase(grid: TorusGrid, p) -> np.ndarray:
-    """e^{-2 pi i k.p} on the (n, n/2 + 1) mode grid: the modes of delta_p."""
-    kx, ky = grid.freqs()
-    return np.exp(-2j * np.pi * (kx * p[0] + ky * p[1]))
-
-
 def _screened_remainder_modes(grid: TorusGrid, p, eta: float) -> np.ndarray:
     """Modes of the band-limited remainder R_p: (4 pi^2 k^2) R = gamma_p,
     zero mode fixed so the assembled flat Green's function has zero mean."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (_phase(grid, p) * np.exp(-2.0 * np.pi ** 2 * eta ** 2 * grid.k2)
+        out = (spectral.delta_modes(grid, p)
+               * np.exp(-2.0 * np.pi ** 2 * eta ** 2 * grid.k2)
                / -grid.laplacian)
     out[0, 0] = -eta * eta / 2.0
     return out
 
 
 def _point_green_mean_mult(grid: TorusGrid, eta: float) -> np.ndarray:
-    """Multiplier M(k) with integral(V(x-p) w(x) dx) = Re sum_k M e^{-2 pi i k p} conj(what)."""
+    """Multiplier M(k) with integral(V(x - p) w(x) dx) the weighted mode
+    sum of M what at p (spectral.eval_modes_direct)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (1.0 - np.exp(-2.0 * np.pi ** 2 * eta ** 2 * grid.k2)) / -grid.laplacian
     out[0, 0] = eta * eta / 2.0
@@ -323,9 +319,7 @@ class SingularField:
 
         Round-off grows with n: d_xx + d_yy lift the band's by
         4 pi^2 |k|^2, about n^2 eps on a one-point G2, whose band holds
-        the descent's state (expansion_trace_residual); d_x and d_y read
-        up to 1.5e-13, 5.8e-13 and 2.2e-12 at n = 128, 256 and 512 where
-        they vanish, at the flat poles (1/4, 1/4), (3/4, 3/4)."""
+        the descent's state (expansion_trace_residual)."""
         p, eta = self.points[idx], self.eta
         ikx, iky = self.grid.ik
         b = self.band.modes
@@ -443,19 +437,19 @@ class SingularField:
         """integral of (field * weight) dx, exact in mode space.
 
         The singular parts are integrated by Parseval with their analytic
-        Fourier coefficients, Re sum_k M_k conj(what_k) e^{-2 pi i k.p}
-        summed directly over the half spectrum with the Parseval column
-        weights, so no quadrature ever touches a log term.  Accurate to
-        the spectral tail of the weight.
+        Fourier coefficients: each pole's term is the direct mode sum of
+        M_k what_k at p (spectral.eval_modes_direct), so no quadrature
+        ever touches a log term.  Accurate to the spectral tail of the
+        weight.
         """
-        w_modes = (np.conj(spectral.to_modes(weight_values))
-                   * self.grid.parseval)
-        mult = _point_green_mean_mult(self.grid, self.eta) * w_modes
+        w_modes = spectral.to_modes(weight_values)
+        mult = (_point_green_mean_mult(self.grid, self.eta) * w_modes)[None]
         total = self.const * float(np.real(w_modes[0, 0]))
-        total += float(np.real(np.sum(self.band.modes * w_modes)))
+        total += float(np.real(np.sum(self.band.modes * np.conj(w_modes)
+                                      * self.grid.parseval)))
         for p, s in zip(self.points, self.strengths):
-            val = np.sum(mult * _phase(self.grid, p))
-            total += s * float(np.real(val))
+            total += s * float(spectral.eval_modes_direct(self.grid, mult,
+                                                          p)[0])
         return total
 
     def mean_dVg(self, metric: Metric) -> float:

@@ -27,7 +27,11 @@ This module is the only one that calls ``np.fft``: other modules move
 between values and modes with ``to_modes``/``to_values`` and take their
 Fourier multipliers from the grid's table (``TorusGrid.k2``,
 ``laplacian``, ``ik``, ``dirichlet``, ``parseval``), which is built once
-per grid and is read-only.
+per grid and is read-only.  It is also the only one that forms a Fourier
+phase e^{2 pi i k.x}, with k.x reduced mod 1 before the 2 pi
+(``_phases``): a point mass's modes (``delta_modes``) and the direct sum
+at a point (``eval_modes_direct``) share these rows, so a sum that must
+cancel by symmetry cancels to round-off at every n.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ __all__ = [
     "TorusGrid", "ScalarField", "VectorField", "to_modes", "to_values",
     "laplacian0", "solve_poisson0", "gradient0", "dirichlet_form",
     "product_dealiased", "eval_modes_at", "eval_modes_stack_at",
-    "eval_modes_direct", "eval_at", "eval_gradient_at",
+    "eval_modes_direct", "delta_modes", "eval_at", "eval_gradient_at",
     "wrap_offset", "save_field", "load_field_values",
 ]
 
@@ -438,6 +442,15 @@ def eval_modes_direct(grid: TorusGrid, stack: np.ndarray, p) -> np.ndarray:
     ex, ey = _phases(kx[:, 0], p[0]), _phases(ky[0], p[1]) * grid.parseval[0]
     ex[grid.n // 2] = ex[grid.n // 2].real
     return np.real((stack @ ey) @ ex)
+
+
+def delta_modes(grid: TorusGrid, p) -> np.ndarray:
+    """e^{-2 pi i k.p} on the (n, n/2 + 1) mode grid, the modes of the
+    point mass at p: the conjugated outer product of the exact phase
+    rows that eval_modes_direct sums with."""
+    kx, ky = grid.freqs()
+    return np.conj(np.multiply.outer(_phases(kx[:, 0], p[0]),
+                                     _phases(ky[0], p[1])))
 
 
 def _phases(k: np.ndarray, x: float) -> np.ndarray:

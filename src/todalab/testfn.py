@@ -867,17 +867,6 @@ class FitReport:
     target_slope: float
     constant_alternate: float | None = None
 
-    def to_records(self) -> list:
-        out = []
-        for row in self.rows:
-            rec = dict(row)
-            rec["constant_used"] = self.constant_used
-            rec["fitted_slope"] = self.fitted_slope
-            rec["slope_stderr"] = self.slope_stderr
-            rec["target_slope"] = self.target_slope
-            out.append(rec)
-        return out
-
 
 def _check_fit_inputs(pair: GreenPair, metric: Metric, eps_list, case) -> list:
     """The eps list as floats, after a ConfigError on any bad fit input."""

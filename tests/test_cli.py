@@ -264,6 +264,10 @@ _POINT = st.tuples(st.floats(0.0, 1.0, exclude_max=True),
                        lambda p: f"{p[0]!r},{p[1]!r}")
 _EPS_LIST = st.lists(st.floats(1e-8, 2.0), min_size=4, max_size=6).map(
     lambda xs: ",".join(map(repr, sorted(set(xs), reverse=True))))
+_SWEEP_EPS_LIST = st.lists(
+    st.floats(0.0, 4 * math.pi, exclude_min=True, exclude_max=True),
+    min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(repr, sorted(set(xs), reverse=True))))
 # whole runs on the 16 grid: mostly values of each key's own shape, so
 # that most examples get past parsing into the solvers, and short solves
 _RUN_ENTRIES = st.fixed_dictionaries({
@@ -280,12 +284,13 @@ _RUN_ENTRIES = st.fixed_dictionaries({
     "solver.ceiling": _mostly(st.floats(1.0, 60.0).map(repr), _NUMBER),
     "testfn.eps_list": _mostly(_EPS_LIST, _NUMBER_LIST),
     "testfn.L_coupling": _TYPED["testfn.L_coupling"],
+    "sweep.eps_list": _mostly(_SWEEP_EPS_LIST, _NUMBER_LIST),
     "output.format": st.sampled_from(["json", "csv"]),
 })
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["green", "solve", "testfn"]), _RUN_ENTRIES)
+@given(st.sampled_from(["green", "solve", "testfn", "sweep"]), _RUN_ENTRIES)
 def test_main_runs_or_fails_with_one_line(command, entries):
     # from the config file to the exit code: every run exits 0, 1, 2 or
     # 64; a failure prints exactly one line to stderr, a success none,
@@ -550,6 +555,30 @@ def test_testfn_marks_case2_fit_not_a_result(tmp_path, capsys, points, case):
         "testfn: the case-2 slope and constants are not a result yet "
         "(a term of the case-2 level is missing; see README)"]
         if case == "two" else [])
+
+
+FIT_SCALARS = ("constant_used", "fitted_slope", "slope_stderr",
+               "target_slope")
+
+
+def test_testfn_fit_scalars_sit_beside_the_rows(tmp_path, capsys):
+    # the fit's scalars are the JSON report's top-level keys, not repeated
+    # in its rows; the CSV report merges them into every row
+    path = write_config(tmp_path, "grid.n = 32\n"
+                        "points = 0.25,0.25;0.75,0.75\n")
+    for fmt in ("json", "csv"):
+        assert main(["testfn", "--config", path, "--out", str(tmp_path),
+                     "--format", fmt]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "testfn.json").read_text())
+    assert len(payload["rows"]) == 5
+    assert all(key not in row for row in payload["rows"]
+               for key in FIT_SCALARS)
+    with open(tmp_path / "testfn.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    for key in FIT_SCALARS:
+        assert {float(row[key]) for row in rows} == {payload[key]}, key
 
 
 def test_green_needs_points(tmp_path, capsys):

@@ -357,6 +357,20 @@ def test_minimize_requires_positive_eps(flat64):
         minimize_phi_eps(zero_state(flat64.grid), 0.0, flat64)
 
 
+def test_minimize_rejects_masses_other_than_four_pi_minus_eps(flat64):
+    # Phi_eps fixes both masses at 4 pi - eps; a state that says otherwise
+    # is refused, not minimized and returned with its masses unchanged
+    for masses in [(1.0, 2.0), (FOUR_PI - 0.5, FOUR_PI),
+                   (FOUR_PI - 0.5 + 1e-9, FOUR_PI - 0.5),
+                   (math.nan, FOUR_PI - 0.5)]:
+        with pytest.raises(ConfigError, match="4 pi - eps"):
+            minimize_phi_eps(zero_state(flat64.grid, masses), 0.5, flat64)
+    # 4 pi - eps to round-off is accepted, and the masses come back as given
+    masses = (FOUR_PI - 0.5, (FOUR_PI - 0.5) * (1.0 + 1e-14))
+    final, _ = minimize_phi_eps(zero_state(flat64.grid, masses), 0.5, flat64)
+    assert final.masses == masses
+
+
 def test_planted_lump_relaxes():
     # a concentrated lump at subcritical mass must spread back out
     metric = make_flat_torus(128)

@@ -127,18 +127,25 @@ def test_case1_swap_symmetry(pair1_128):
 
 
 def test_case1_constants_swap_pairwise():
-    # (1/4, 1/2) and (3/4, 1/2): swapping points is a symmetry of both the
-    # system and the flat metric, so the constants pair up
-    metric = make_flat_torus(128)
-    pair = green_pair_case1(np.array([0.25, 0.5]), np.array([0.75, 0.5]), metric)
-    extract_expansions(pair)
-    A = {(k, i): pair.expansions[(k, i)].A for k in (1, 2) for i in (0, 1)}
-    assert abs(A[(1, 0)] - A[(2, 1)]) < 1e-10
-    assert abs(A[(1, 1)] - A[(2, 0)]) < 1e-10
-    # mirror symmetries through each point kill the linear terms
-    for key, e in pair.expansions.items():
-        assert abs(e.lam) < 1e-12, key
-        assert abs(e.mu) < 1e-12, key
+    # p2 - p1 = (1/2, 0) or (1/2, 1/2): swapping the points is a symmetry
+    # of both the system and the flat metric, so the constants pair up,
+    # and mirror symmetries through each point kill the linear terms.
+    # With delta_p's modes and the jet's sum on one set of exact phases
+    # these vanish to round-off at every n: at most 1.6e-15 at the dyadic
+    # pair and 3.1e-14 at the other (n = 512), where a phase rounded once
+    # per product 2 pi k.p read 2.1e-12 and 1.8e-12
+    for p1, p2, tol in (((0.25, 0.5), (0.75, 0.5), 1e-14),
+                        ((0.1, 0.3), (0.6, 0.8), 1e-13)):
+        for n in (128, 256, 512):
+            pair = green_pair_case1(np.array(p1), np.array(p2),
+                                    make_flat_torus(n))
+            extract_expansions(pair)
+            A = {key: e.A for key, e in pair.expansions.items()}
+            assert abs(A[(1, 0)] - A[(2, 1)]) < 1e-10
+            assert abs(A[(1, 1)] - A[(2, 0)]) < 1e-10
+            for key, e in pair.expansions.items():
+                assert abs(e.lam) < tol, (p1, n, key)
+                assert abs(e.mu) < tol, (p1, n, key)
 
 
 def test_case1_points_too_close():
@@ -253,27 +260,28 @@ def test_expansions_build_no_oversampled_grid(kind, monkeypatch):
 
 # lambda, mu, alpha, beta, gamma per (field, point) at n = 64, as the
 # five-row derivative sum read them before the jet gained its value row
-# (the flat pair's lambda and mu are round-off, so it has no entry).  The
-# one-point entries are those of e^s as exp of the field's grid values:
-# G2's band holds the descent's state, which moves by round-off with its
-# source e^s, by up to 1.3e-13 relative in (1, 0) and 9.9e-12 absolute in
-# (2, 0)'s alpha, beta and gamma (expansion_trace_residual)
+# (the flat pair's lambda and mu are round-off, so it has no entry).
+# They take delta_p's modes from spectral's exact phases; a phase rounded
+# once per product 2 pi k.p moves them by up to 1.8e-13 (tilted) and
+# 5.8e-12 (one-point) absolute.  The one-point entries are those of e^s as
+# exp of the field's grid values: G2's band holds the descent's state,
+# which moves by round-off with its source (expansion_trace_residual)
 JET_DERIVATIVES_64 = {
     "tilted": {
-        (1, 0): (-0.07862217984561634, -0.25639039016170573,
-                 2.7093273563020963, 3.57385795087747, -1.914953957179198),
-        (1, 1): (0.10255078677543686, -0.7560041866044656,
-                 4.104482568297413, 2.178702738882251, -1.688092708931899),
-        (2, 0): (-0.07862217984561443, 1.6794384376149165,
-                 4.365423316297118, 1.917761990882847, -1.9149539571789278),
-        (2, 1): (0.10255078677538357, 0.9523587578423439,
-                 2.8147137378119003, 3.46847156936766, -1.6880927089319735),
+        (1, 0): (-0.07862217984561298, -0.25639039016171317,
+                 2.7093273563020963, 3.57385795087747, -1.9149539571791074),
+        (1, 1): (0.10255078677541896, -0.7560041866044793,
+                 4.104482568297413, 2.178702738882251, -1.6880927089318907),
+        (2, 0): (-0.07862217984561874, 1.6794384376149194,
+                 4.365423316296985, 1.917761990882714, -1.9149539571791074),
+        (2, 1): (0.10255078677541832, 0.9523587578423708,
+                 2.8147137378119003, 3.46847156936766, -1.6880927089319397),
     },
     "one-point": {
-        (1, 0): (0.04426792831141448, -0.02362252203398199,
-                 3.16631237636975, 3.116872930809672, 0.48808997747109434),
-        (2, 0): (-0.31904882842529564, 0.10317245902884858,
-                 3.07917155328762, 3.2040137539015716, 0.06542944671703445),
+        (1, 0): (0.04426792831142589, -0.023622522033954273,
+                 3.16631237636975, 3.116872930809783, 0.48808997747109084),
+        (2, 0): (-0.3190488284253062, 0.10317245902877706,
+                 3.0791715532817916, 3.204013753898241, 0.0654294467148648),
     },
 }
 
@@ -527,6 +535,33 @@ def test_integral_against_matches_polar_quadrature():
         ref = polar_quadrature(
             lambda q: g.eval(q) * weight(q[:, 0], q[:, 1]), p)
         assert abs(g.integral_against(weight(X, Y)) - ref) < 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 64, 128, 512])
+def test_integral_against_cosine_matches_mpmath(n):
+    # G0(., p) has modes e^{-2 pi i k.p} / (4 pi^2 |k|^2), so its integral
+    # against cos 2 pi k.x is cos(2 pi k.p) / (4 pi^2 |k|^2), here up to
+    # |k_x|, |k_y| = n/2 - 1 (measured at most 1.4e-17 from 40 digits)
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(n)
+    h = n // 2 - 1
+    i = np.arange(n)
+    for _ in range(3):
+        p = rng.random(2)
+        g = flat_green(p, grid)
+        ks = [(h, h), (-h, h), (1, 0), (0, 1)]
+        ks += [tuple(int(k) for k in rng.integers(-h, h + 1, 2))
+               for _ in range(6)]
+        for a, b in ks:
+            if a == b == 0:
+                continue
+            w = np.cos(2 * np.pi * (((a * i[:, None] + b * i[None, :]) % n)
+                                    / n))
+            with mpmath.workdps(40):
+                phase = a * mpmath.mpf(p[0]) + b * mpmath.mpf(p[1])
+                ref = (mpmath.cos(2 * mpmath.pi * phase)
+                       / (4 * mpmath.pi ** 2 * (a * a + b * b)))
+            assert abs(g.integral_against(w) - float(ref)) < 1e-16, (p, a, b)
 
 
 # --- exponential integral and culled image sums ------------------------

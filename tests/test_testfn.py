@@ -420,12 +420,7 @@ def test_fit_case1_report(pair1_128):
     remainders = [row["remainder"] for row in report.rows]
     assert all(r > 0 for r in remainders)
     assert all(b < a for a, b in zip(remainders, remainders[1:]))
-    recs = report.to_records()
-    assert len(recs) == 4
-    assert recs[0]["fitted_slope"] == report.fitted_slope
-    assert recs[0]["slope_stderr"] == report.slope_stderr
     assert math.isfinite(report.slope_stderr) and report.slope_stderr >= 0.0
-    assert recs[0]["constant_used"] == report.constant_used
 
 
 def test_fit_case2_report(pair2_256):
