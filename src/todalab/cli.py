@@ -241,9 +241,8 @@ def _integral(f, a: float, b: float, geometric: bool = False) -> float:
     return float(np.sum(f(nodes) * weights))
 
 
-def _verify_checks(cfg: RunConfig, perturb: bool) -> list[dict]:
+def _verify_checks(cfg: RunConfig) -> list[dict]:
     checks = []
-    fault = 1e-3 if perturb else 0.0
 
     def add(name, computed, reference, tol, kind="rel"):
         if kind == "rel":
@@ -258,9 +257,8 @@ def _verify_checks(cfg: RunConfig, perturb: bool) -> list[dict]:
     for L in (0.5, 1.0, 2.0, 5.0, 10.0):
         integrand = lambda r: (16.0 * math.pi ** 2 * r ** 2
                                / (1.0 + math.pi * r ** 2) ** 2) * 2.0 * math.pi * r
-        add(f"bubble_energy_L{L}", _integral(integrand, 0.0, L) + fault,
+        add(f"bubble_energy_L{L}", _integral(integrand, 0.0, L),
             bubble.bubble_dirichlet_energy(L), 1e-8)
-        fault = 0.0  # fault injection hits the first check only
 
         mass_int = lambda r: np.exp(-2.0 * np.log1p(math.pi * r * r)) \
             * 2.0 * math.pi * r
@@ -296,8 +294,8 @@ def _verify_checks(cfg: RunConfig, perturb: bool) -> list[dict]:
     return checks
 
 
-def cmd_verify(cfg: RunConfig, perturb: bool) -> int:
-    checks = _verify_checks(cfg, perturb)
+def cmd_verify(cfg: RunConfig) -> int:
+    checks = _verify_checks(cfg)
     payload = {**_report_header(cfg), "checks": checks,
                "passed": all(c["passed"] for c in checks)}
     path = _write_report(cfg, "verify", payload, rows_key="checks")
@@ -457,9 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--format", choices=["json", "csv"],
                         help="report format (overrides config)")
-    parser.add_argument("--perturb", action="store_true",
-                        help="inject a small fault into the first verify "
-                             "check (test hook)")
     return parser
 
 
@@ -476,7 +471,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot make output directory: {exc}") from None
         if args.command == "verify":
-            return cmd_verify(cfg, args.perturb)
+            return cmd_verify(cfg)
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "green":

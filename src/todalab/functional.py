@@ -20,7 +20,10 @@ Green solve in greens, minimize one family of functionals,
          + m sum_i integral u_i dV_g - m sum_i log integral e^{u_i} c dV_g,
 
 and one class, CoupledEnergy, gives run_descent its energy, gradient,
-Hessian-vector product, projection, stopping norm and ceiling.  The
+Hessian-vector product, projection, stopping norm and ceiling.  Phi_eps
+has no second formula: phi_eps, phi_eps_gradient and el_residual read
+its value, gradient and Euler-Lagrange residual from phi_eps_functional,
+the CoupledEnergy that minimize_phi_eps descends on.  The
 minimizer is truncated Newton-CG: each step solves H p = -g by CG on
 modes with the (I - Delta_0)^{-1} preconditioner, exits on negative
 curvature, and is accepted by an Armijo test that tries the full step
@@ -166,13 +169,6 @@ _STAGNATION_DECREASE = 1e-14
 _NORM_TOL = 1e-6
 
 
-def _log_int_exp(values: np.ndarray, metric: Metric) -> float:
-    """log integral e^{values} dV_g, evaluated max-shifted (never overflows)."""
-    t = values + metric.phi.values
-    m = float(np.max(t))
-    return m + float(np.log(np.mean(np.exp(t - m))))
-
-
 def _check_eps(eps: float, allow_zero: bool = True) -> None:
     lo_ok = eps >= 0.0 if allow_zero else eps > 0.0
     if not (lo_ok and eps < FOUR_PI):
@@ -180,15 +176,12 @@ def _check_eps(eps: float, allow_zero: bool = True) -> None:
 
 
 def phi_eps(u1: ScalarField, u2: ScalarField, eps: float, metric: Metric) -> float:
-    """The reduced two-field functional at regularization eps."""
+    """The reduced two-field functional at regularization eps: the energy
+    of phi_eps_functional, the one minimize_phi_eps descends on."""
     _check_eps(eps)
-    rho = FOUR_PI - eps
-    d = (spectral.dirichlet_form(u1, u1) + spectral.dirichlet_form(u2, u2)
-         + spectral.dirichlet_form(u1, u2)) / 3.0
-    mean_term = rho * float(np.mean((u1.values + u2.values) * metric.weight))
-    log_term = rho * (_log_int_exp(u1.values, metric)
-                      + _log_int_exp(u2.values, metric))
-    return d + mean_term - log_term
+    energy, _ = phi_eps_functional(metric, eps).energy_and_grad(
+        np.stack([u1.values, u2.values]))
+    return energy
 
 
 def phi_eps_gradient(u1: ScalarField, u2: ScalarField, eps: float,
@@ -212,26 +205,22 @@ def el_residual(u1: ScalarField, u2: ScalarField, eps: float,
 
     max over i of sup | -Delta_g u_i - [(8 pi - 2 eps) e^{u_i}
                                         - (4 pi - eps) e^{u_other}
-                                        - (4 pi - eps)] |,
+                                        - (4 pi - eps)] |
 
-    on the grid, with Delta_g u = e^{-phi} Delta_0 u pointwise as in the
-    gradient, so it equals max |2 g_i - g_other| of phi_eps_gradient.
+    on the grid, with Delta_g u = e^{-phi} Delta_0 u pointwise: for
+    a = (1/3)[[2, 1], [1, 2]] that is max |2 g_i - g_other| / w of
+    phi_eps_functional's gradient, read from it here.
     """
     _check_eps(eps)
-    for f in (u1, u2):
-        drift = _log_int_exp(f.values, metric)
+    energy = phi_eps_functional(metric, eps)
+    u = np.stack([u1.values, u2.values])
+    for drift in energy.log_normalizer(u).ravel():
         if abs(drift) > _NORM_TOL:
             raise ConfigError(
                 f"state not normalized: log integral e^u dV_g = {drift:.3e}")
-    rho = FOUR_PI - eps
-    out = 0.0
-    e1 = np.exp(u1.values)
-    e2 = np.exp(u2.values)
-    for f, ea, eb in ((u1, e1, e2), (u2, e2, e1)):
-        lap_g = spectral.laplacian0(f).values / metric.weight
-        res = -lap_g - (2.0 * rho * ea - rho * eb - rho)
-        out = max(out, float(np.max(np.abs(res))))
-    return out
+    _, grads = energy.energy_and_grad(u)
+    g = grads / metric.weight
+    return float(np.max(np.abs(2.0 * g - g[::-1])))
 
 
 @dataclass
@@ -527,11 +516,6 @@ def minimize_phi_eps(init: TodaState, eps: float, metric: Metric,
                       energy.grad_norm, energy.ceiling, opts, energy.hessian)
     final = TodaState(u=tuple(ScalarField(grid, x) for x in raw.state),
                       masses=init.masses)
-    resid = None
-    if not raw.blown_up:
-        # on fields of its own, so that the returned state does not keep
-        # the modes el_residual computes
-        resid = el_residual(*(ScalarField(grid, x) for x in raw.state),
-                            eps, metric)
+    resid = None if raw.blown_up else el_residual(*final.u, eps, metric)
     return final, DescentReport.from_raw(raw, metric.weight, resid,
                                          blowup_ratios=True)

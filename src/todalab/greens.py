@@ -36,6 +36,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import geometry, spectral
+from .bubble import fd_laplacian
 from .errors import AccuracyError, ConfigError, ResolutionError
 from .functional import (CoupledEnergy, DescentReport, SolverOptions,
                          run_descent)
@@ -677,24 +678,6 @@ def expansion_trace_residual(exp: LocalExpansion) -> float:
     return abs(exp.alpha + exp.beta - 2.0 * math.pi)
 
 
-def _fd_laplacian(eval_fn, pts: np.ndarray, h_loc: float):
-    """4th-order cross-stencil Laplacian of a point-evaluable field, and
-    the field's values at the points: one eval_fn call on all nine
-    stencil offsets."""
-    count = pts.shape[0]
-    shifts = [0.0] + [c * h_loc * e for e in (np.array([1.0, 0.0]),
-                                               np.array([0.0, 1.0]))
-                      for c in (2, 1, -1, -2)]
-    vals = eval_fn(np.concatenate([pts + d for d in shifts]))
-    vals = vals.reshape(9, count)
-    center = vals[0]
-    out = np.zeros(count)
-    for p2, p1, m1, m2 in (vals[1:5], vals[5:9]):
-        acc = -p2 + 16.0 * p1 - 30.0 * center + 16.0 * m1 - m2
-        out += acc / (12.0 * h_loc * h_loc)
-    return out, center
-
-
 def residual_sample_points(pair: GreenPair, count: int, seed: int = 7,
                            margin: float | None = None) -> np.ndarray:
     """Deterministic uniform samples outside the 8h discs around the points."""
@@ -726,8 +709,8 @@ def equation_residuals(pair: GreenPair, count: int = 200) -> dict:
         inv_w = np.ones(pts.shape[0])
     else:
         inv_w = np.exp(-spectral.eval_at(metric.phi, pts))
-    lap1 = _fd_laplacian(pair.G1.eval, pts, h_loc)[0] * inv_w
-    lap2, g2 = _fd_laplacian(pair.G2.eval, pts, h_loc)
+    lap1 = fd_laplacian(pair.G1.eval, pts, h_loc)[0] * inv_w
+    lap2, g2 = fd_laplacian(pair.G2.eval, pts, h_loc)
     lap2 = lap2 * inv_w
     out = {"mean_G1": pair.G1.mean_dVg(metric)}
     if pair.case_tag == "one":

@@ -45,8 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .bubble import (bubble_dirichlet_energy, lower_bound_case1,
-                     lower_bound_case2, case2_closing_constant)
+from .bubble import (bubble_dirichlet_energy, bubble_mass, bubble_profile_r,
+                     lower_bound_case1, lower_bound_case2,
+                     case2_closing_constant)
 from .errors import AccuracyError, ConfigError, GeometryError, SolverError
 # metric_expansion_at is not called here: perfbench/spans.py patches it here
 from .geometry import Metric, metric_expansion_at
@@ -92,10 +93,6 @@ def smoothstep_deriv(rho, a: float, b: float):
     return -30.0 * u * u * (1.0 - u) ** 2 / (b - a)
 
 
-def _bubble(rho_over_eps):
-    return -2.0 * np.log1p(math.pi * np.asarray(rho_over_eps) ** 2)
-
-
 @dataclass
 class TestFunctionPair:
     """Piecewise two-field test pair at scale eps with truncation L.
@@ -128,7 +125,7 @@ class TestFunctionPair:
     def disc_profile(self, k: int, i: int, rho: np.ndarray) -> np.ndarray:
         """Field k's bubble, or minus half of one, in the disc at point i
         at normalized radii rho (without the tilt and disc_const)."""
-        w = _bubble(rho / self.eps)
+        w = bubble_profile_r(rho / self.eps)
         if self.half(k, i):
             return -(w + 2.0 * self.log_one_plus_piL2) / 2.0
         return w
@@ -712,7 +709,7 @@ class _Phi0Evaluator:
 
         # exponential integrals, scaled by eps^2
         logints = {}
-        i0 = t / (1.0 + t)
+        i0 = bubble_mass(L)
         i2 = (math.log1p(t) + 1.0 / (1.0 + t) - 1.0) / math.pi
         for k in (1, 2):
             own_discs = [i for i in range(npts) if not tf.half(k, i)]
@@ -816,7 +813,12 @@ def phi0_along(pair: GreenPair, eps_list, L: float | None) -> list:
     eps, with truncation L (coupling_L(eps) if None, as in
     build_test_pair).  Every test pair is built before the first
     evaluation, so a bad eps fails at once.  Every row shares one field
-    evaluator, whose oversampled grids serve them all."""
+    evaluator, whose oversampled grids serve them all.  A one-point pair
+    whose descent did not converge solves no G2 equation, and its rows
+    would mean nothing: it raises SolverError."""
+    if pair.descent is not None and not pair.descent.converged:
+        raise SolverError(f"one-point pair did not converge "
+                          f"({pair.descent.stop_reason})")
     tfs = [build_test_pair(pair, eps, L) for eps in eps_list]
     stack = _StackEval(pair)
     return [{"eps": tf.eps, "L": tf.L, "phi0": evaluate_phi0(tf, stack=stack)}
@@ -944,9 +946,6 @@ def asymptotic_fit_case2(pair: GreenPair, metric: Metric,
     constants (they differ in the literature-facing bookkeeping and are
     never merged).  metric must be pair.metric."""
     eps_list = _check_fit_inputs(pair, metric, eps_list, "two")
-    if pair.descent is not None and not pair.descent.converged:
-        raise SolverError(f"one-point pair did not converge "
-                          f"({pair.descent.stop_reason})")
     _require_expansions(pair)
     const = lower_bound_case2(pair.expansions[(1, 0)].A, pair.mean_G2)
     alt = case2_closing_constant(pair.mean_G2)

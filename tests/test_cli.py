@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from todalab import bubble
 from todalab.cli import _DEFAULTS, RunConfig, main, parse_config
 from todalab.errors import ConfigError
 from todalab.spectral import (ScalarField, TorusGrid, load_field_values,
@@ -345,9 +346,12 @@ def test_verify_ok(tmp_path, capsys):
     assert all(c["tolerance"] == 1e-10 for c in traces)
 
 
-def test_verify_perturb_fails(tmp_path, capsys):
-    code = main(["verify", "--perturb", "--out", str(tmp_path),
-                 "--format", "csv"])
+def test_verify_perturb_fails(tmp_path, capsys, monkeypatch):
+    # a closed form off by 1e-3 at L = 0.5 fails its quadrature check
+    exact = bubble.bubble_dirichlet_energy
+    monkeypatch.setattr(bubble, "bubble_dirichlet_energy",
+                        lambda L: exact(L) + (1e-3 if L == 0.5 else 0.0))
+    code = main(["verify", "--out", str(tmp_path), "--format", "csv"])
     out = capsys.readouterr().out
     assert code == 1
     assert "verify: FAIL" in out
@@ -525,6 +529,20 @@ def test_testfn_unconverged_one_point_exits_2_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("numerical failure: one-point pair did not converge "
                    "(max_iter)\n")
+    assert not (tmp_path / "testfn.json").exists()
+
+
+def test_testfn_fixed_L_unconverged_one_point_exits_2(tmp_path, capsys):
+    # phi0 rows on a pair stopped by max_iter mean nothing without the
+    # slope fit too: a fixed L writes none, as auto does
+    path = write_config(
+        tmp_path, "grid.n = 32\npoints = 0.5,0.5\nsolver.max_iter = 1\n"
+        "testfn.L_coupling = fixed:2\n")
+    assert main(["testfn", "--config", path, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: one-point pair did not "
+                            "converge (max_iter)\n")
+    assert captured.out == ""
     assert not (tmp_path / "testfn.json").exists()
 
 

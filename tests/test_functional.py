@@ -391,16 +391,16 @@ def test_planted_lump_relaxes():
 
 
 def test_phi_eps_is_the_core_energy_on_a_curved_metric():
-    # the energy minimize_phi_eps descends on is phi_eps; the two are
-    # evaluated by different formulas, so they agree to round-off
+    # the energy minimize_phi_eps descends on is phi_eps, by one formula,
+    # so the two agree to the bit, not only to round-off
     metric = _cosine_metric(64)
     grid = metric.grid
     rng = np.random.default_rng(12)
-    u1, u2 = rand_smooth(grid, rng), rand_smooth(grid, rng)
-    energy, _ = phi_eps_functional(metric, 0.7).energy_and_grad(
-        np.stack([u1.values, u2.values]))
-    assert energy == pytest.approx(phi_eps(u1, u2, 0.7, metric),
-                                   rel=1e-14, abs=1e-14)
+    for _ in range(8):
+        u1, u2 = rand_smooth(grid, rng), rand_smooth(grid, rng)
+        energy, _ = phi_eps_functional(metric, 0.7).energy_and_grad(
+            np.stack([u1.values, u2.values]))
+        assert energy == phi_eps(u1, u2, 0.7, metric)
 
 
 def _cosine_metric(n):
